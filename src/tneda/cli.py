@@ -1,7 +1,9 @@
 """Command-line runner: ``tneda run`` and ``tneda summarize``.
 
 Exit codes: 0 success, 2 configuration problems (including bad usage),
-3 unreadable or malformed input files, 4 unexpected runtime failures.
+3 unreadable or malformed input files, 4 numerical failures during a run
+(a model that stops defining a distribution) and unexpected runtime
+failures.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .experiment import (
     summarize,
     write_summary_csv,
 )
+from .mps import DegenerateModelError
 from .problems import ParseError
 
 
@@ -71,6 +74,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DegenerateModelError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except (FileNotFoundError, ParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

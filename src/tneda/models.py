@@ -25,6 +25,10 @@ from .mps import (
     DegenerateModelError,
     EncodingMode,
     Mps,
+    _gram_left,
+    _gram_right,
+    _left_step,
+    _right_step,
     canonicalize_split,
     log_probability,
     random_init,
@@ -81,7 +85,7 @@ def _right_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
         q, r = np.linalg.qr(mat.T)
         k = q.shape[1]
         out[i] = np.ascontiguousarray(q.T.reshape(k, 2, chi_r))
-        out[i - 1] = np.ascontiguousarray(np.einsum("lsa,ma->lsm", out[i - 1], r))
+        out[i - 1] = out[i - 1] @ r.T
     norm = np.linalg.norm(out[0])
     if norm == 0.0:
         raise DegenerateModelError("cannot canonicalize an all-zero network")
@@ -89,9 +93,21 @@ def _right_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _select(t: np.ndarray, bits_col: np.ndarray) -> np.ndarray:
-    """Physical-index selection, shape (chi_l, n, chi_r)."""
-    return t[:, bits_col, :]
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-site tensor sum_k a[:, s, k] b[k, t, :], shape (chi_l, 2, 2, chi_r)."""
+    return (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)).reshape(a.shape[0], 2, 2, b.shape[2])
+
+
+def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """sum_b lx[b] (x) weighted[b] scattered to the pair's bits, (chi_l, 2, 2, chi_r).
+
+    ``code`` is ``2 * x_i + x_{i+1}`` per row; row b contributes only to
+    the block ``[:, x_i, x_{i+1}, :]`` its bits select.
+    """
+    n, chi_r = weighted.shape
+    onehot = code[:, None, None] == np.arange(4)[:, None]
+    scattered = np.where(onehot, weighted[:, None, :], 0.0).reshape(n, 4 * chi_r)
+    return (lx.T @ scattered).reshape(lx.shape[1], 2, 2, chi_r)
 
 
 def pair_nll_gradient(
@@ -119,27 +135,23 @@ def pair_nll_gradient(
         and for :func:`born_pair_gradient`).
     """
     n = lx.shape[0]
-    theta_sel = theta[:, xi, xj, :]
-    amps = np.einsum("bl,lbr,br->b", lx, theta_sel, rx, optimize=True)
+    chi_l, _, _, chi_r = theta.shape
+    code = 2 * xi + xj
+    per_bits = (lx @ theta.reshape(chi_l, 4 * chi_r)).reshape(n, 4, chi_r)
+    amps = (per_bits[np.arange(n), code] * rx).sum(axis=1)
     safe = np.where(np.abs(amps) < _AMP_FLOOR, _AMP_FLOOR, amps)
 
     if la is None:
         z = float(np.vdot(theta, theta))
         half = theta
     else:
-        half = np.einsum("ab,bstd,cd->astc", la, theta, rb, optimize=True)
-        z = float(np.einsum("astc,astc->", half, theta, optimize=True))
+        half = np.tensordot(la, theta, axes=(1, 0)) @ rb.T
+        z = float(np.vdot(half, theta))
     if z <= 0.0:
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    grad_data = np.zeros_like(theta)
-    weighted = rx / safe[:, None]
-    for s in (0, 1):
-        for t in (0, 1):
-            mask = (xi == s) & (xj == t)
-            if np.any(mask):
-                grad_data[:, s, t, :] = lx[mask].T @ weighted[mask]
+    grad_data = _pair_data_gradient(lx, rx / safe[:, None], code)
 
     with np.errstate(divide="ignore"):
         nll = -2.0 * float(np.mean(np.log(np.abs(safe)))) + math.log(z)
@@ -151,7 +163,7 @@ def merge_pair(m: Mps, i: int) -> np.ndarray:
     """Merged tensor of sites (i, i+1), shape (chi_l, 2, 2, chi_r)."""
     if not 0 <= i < m.n_sites - 1:
         raise ValueError(f"pair index {i} out of range")
-    return np.einsum("lsk,ktr->lstr", m.tensors[i], m.tensors[i + 1])
+    return _merge(m.tensors[i], m.tensors[i + 1])
 
 
 def born_pair_environments(
@@ -166,15 +178,13 @@ def born_pair_environments(
     lx = np.ones((n, 1))
     la = np.ones((1, 1))
     for j in range(i):
-        t = m.tensors[j]
-        lx = np.einsum("bl,lbr->br", lx, _select(t, bits[:, j]), optimize=True)
-        la = np.einsum("ab,asc,bsd->cd", la, t, t, optimize=True)
+        lx = _left_step(lx, m.tensors[j], bits[:, j])
+        la = _gram_left(la, m.tensors[j])
     rx = np.ones((n, 1))
     rb = np.ones((1, 1))
     for j in range(m.n_sites - 1, i + 1, -1):
-        t = m.tensors[j]
-        rx = np.einsum("lbr,br->bl", _select(t, bits[:, j]), rx, optimize=True)
-        rb = np.einsum("asb,csd,bd->ac", t, t, rb, optimize=True)
+        rx = _right_step(m.tensors[j], bits[:, j], rx)
+        rb = _gram_right(m.tensors[j], rb)
     return lx, rx, la, rb
 
 
@@ -244,14 +254,12 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
         rx = [None] * (width + 1)
         rx[width] = np.ones((n, 1))
         for j in range(width - 1, 1, -1):
-            rx[j] = np.einsum(
-                "lbr,br->bl", _select(tensors[j], bits[:, j]), rx[j + 1], optimize=True
-            )
+            rx[j] = _right_step(tensors[j], bits[:, j], rx[j + 1])
         lx = [None] * width
         lx[0] = np.ones((n, 1))
 
         for i, absorb, moving in _sweep_pair_schedule(width):
-            theta = np.einsum("lsk,ktr->lstr", tensors[i], tensors[i + 1])
+            theta = _merge(tensors[i], tensors[i + 1])
             for _ in range(cfg.grad_steps_per_pair):
                 _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], bits[:, i], bits[:, i + 1])
                 theta = theta - cfg.learning_rate * grad
@@ -262,13 +270,9 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
             left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
             tensors[i], tensors[i + 1] = left, right
             if moving == "right":
-                lx[i + 1] = np.einsum(
-                    "bl,lbr->br", lx[i], _select(left, bits[:, i]), optimize=True
-                )
+                lx[i + 1] = _left_step(lx[i], left, bits[:, i])
             else:
-                rx[i + 1] = np.einsum(
-                    "lbr,br->bl", _select(right, bits[:, i + 1]), rx[i + 2], optimize=True
-                )
+                rx[i + 1] = _right_step(right, bits[:, i + 1], rx[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.AMPLITUDE, cfg.chi_max)
 
@@ -314,9 +318,7 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
         rx[width] = np.ones((n, 1))
         rsum[width] = np.ones(1)
         for j in range(width - 1, 1, -1):
-            rx[j] = _normalize_rows(
-                np.einsum("lbr,br->bl", _select(tensors[j], bits[:, j]), rx[j + 1], optimize=True)
-            )
+            rx[j] = _normalize_rows(_right_step(tensors[j], bits[:, j], rx[j + 1]))
             rsum[j] = _normalize_vec(tensors[j].sum(axis=1) @ rsum[j + 1])
         lx = [None] * width
         lsum = [None] * width
@@ -325,10 +327,8 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
 
         for i, _, moving in _sweep_pair_schedule(width):
             ti, tj = tensors[i], tensors[i + 1]
-            sel_i = _select(ti, bits[:, i])
-            sel_j = _select(tj, bits[:, i + 1])
-            mid = np.einsum("bl,lbk->bk", lx[i], sel_i, optimize=True)
-            amps = np.einsum("bk,kbr,br->b", mid, sel_j, rx[i + 2], optimize=True)
+            mid = _left_step(lx[i], ti, bits[:, i])
+            amps = (_left_step(mid, tj, bits[:, i + 1]) * rx[i + 2]).sum(axis=1)
             safe = np.maximum(amps, _AMP_FLOOR)
 
             ti_sum = ti.sum(axis=1)
@@ -337,35 +337,23 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             if z <= 0.0:
                 raise DegenerateModelError("normalization vanished during training")
 
-            grad_theta = np.zeros((ti.shape[0], 2, 2, tj.shape[2]))
-            weighted = rx[i + 2] / safe[:, None]
-            for s in (0, 1):
-                for t in (0, 1):
-                    mask = (bits[:, i] == s) & (bits[:, i + 1] == t)
-                    if np.any(mask):
-                        grad_theta[:, s, t, :] = lx[i][mask].T @ weighted[mask]
+            code = 2 * bits[:, i] + bits[:, i + 1]
+            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / safe[:, None], code)
             grad_theta /= n
-            grad_theta -= np.einsum("l,r->lr", lsum[i], rsum[i + 2])[:, None, None, :] / z
+            grad_theta -= np.outer(lsum[i], rsum[i + 2])[:, None, None, :] / z
 
-            grad_i = np.einsum("lstr,ktr->lsk", grad_theta, tj, optimize=True)
-            grad_j = np.einsum("lstr,lsk->ktr", grad_theta, ti, optimize=True)
+            # chain rule through theta = T_i T_j
+            grad_flat = grad_theta.reshape(2 * ti.shape[0], 2 * tj.shape[2])
+            grad_i = (grad_flat @ tj.reshape(tj.shape[0], -1).T).reshape(ti.shape)
+            grad_j = (ti.reshape(-1, ti.shape[2]).T @ grad_flat).reshape(tj.shape)
             tensors[i] = np.maximum(ti + lr * grad_i, 0.0)
             tensors[i + 1] = np.maximum(tj + lr * grad_j, 0.0)
 
             if moving == "right":
-                lx[i + 1] = _normalize_rows(
-                    np.einsum("bl,lbr->br", lx[i], _select(tensors[i], bits[:, i]), optimize=True)
-                )
+                lx[i + 1] = _normalize_rows(_left_step(lx[i], tensors[i], bits[:, i]))
                 lsum[i + 1] = _normalize_vec(lsum[i] @ tensors[i].sum(axis=1))
             else:
-                rx[i + 1] = _normalize_rows(
-                    np.einsum(
-                        "lbr,br->bl",
-                        _select(tensors[i + 1], bits[:, i + 1]),
-                        rx[i + 2],
-                        optimize=True,
-                    )
-                )
+                rx[i + 1] = _normalize_rows(_right_step(tensors[i + 1], bits[:, i + 1], rx[i + 2]))
                 rsum[i + 1] = _normalize_vec(tensors[i + 1].sum(axis=1) @ rsum[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.DIRECT_POSITIVE, init.chi_max)

@@ -9,6 +9,14 @@ All operations treat :class:`Mps` values as immutable and return new
 instances. Contractions run site by site with interleaved renormalization
 so partition functions and per-string probabilities stay finite in log
 space at any chain length.
+
+Every per-string contraction goes through two fixed matmul steps. A bit
+selects the transfer matrix ``T[:, bit, :]`` of its site, so a batch of
+left vectors ``v`` of shape (B, chi_l) advances as ``v @ T[:, 0, :]`` or
+``v @ T[:, 1, :]`` row by row (:func:`_left_step`), and right vectors
+advance through the transposes (:func:`_right_step`). Born-rule sampling
+carries one amplitude vector ``v`` per sample, not the matrix ``v v^T``,
+so a site costs O(chi^2) per sample.
 """
 
 from __future__ import annotations
@@ -124,6 +132,26 @@ def _bits_2d(x, n_sites: int) -> tuple[np.ndarray, bool]:
     return bits, single
 
 
+def _left_step(v: np.ndarray, t: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """Advance left vectors (B, chi_l) through site ``t`` at bits (B,): (B, chi_r)."""
+    return np.where(bit[:, None] == 1, v @ t[:, 1, :], v @ t[:, 0, :])
+
+
+def _right_step(t: np.ndarray, bit: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Advance right vectors (B, chi_r) through site ``t`` at bits (B,): (B, chi_l)."""
+    return np.where(bit[:, None] == 1, v @ t[:, 1, :].T, v @ t[:, 0, :].T)
+
+
+def _gram_left(env: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_s T[:, s, :]^T env T[:, s, :], the Born left transfer, (chi_r, chi_r)."""
+    return np.tensordot(np.tensordot(env, t, axes=(0, 0)), t, axes=([0, 1], [0, 1]))
+
+
+def _gram_right(t: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """sum_s T[:, s, :] env T[:, s, :]^T, the Born right transfer, (chi_l, chi_l)."""
+    return np.tensordot(np.tensordot(t, env, axes=(2, 0)), t, axes=([1, 2], [1, 2]))
+
+
 def log_partition_function(m: Mps) -> float:
     """log Z by sequential transfer contraction, O(N chi^3).
 
@@ -133,7 +161,7 @@ def log_partition_function(m: Mps) -> float:
     if m.mode is EncodingMode.AMPLITUDE:
         env = np.ones((1, 1))
         for t in m.tensors:
-            env = np.einsum("ab,asc,bsd->cd", env, t, t, optimize=True)
+            env = _gram_left(env, t)
             scale = np.abs(env).max()
             if scale == 0.0:
                 raise DegenerateModelError("partition function is zero")
@@ -171,8 +199,7 @@ def _log_values(m: Mps, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logabs = np.zeros(n)
     sign = np.ones(n)
     for i, t in enumerate(m.tensors):
-        sel = t[:, bits[:, i], :]  # (chi_l, B, chi_r)
-        vec = np.einsum("bl,lbr->br", vec, sel, optimize=True)
+        vec = _left_step(vec, t, bits[:, i])
         scale = np.abs(vec).max(axis=1)
         dead = scale == 0.0
         sign[dead] = 0.0
@@ -222,8 +249,7 @@ def _right_sum_envs(m: Mps) -> list[np.ndarray]:
     if m.mode is EncodingMode.AMPLITUDE:
         envs[n] = np.ones((1, 1))
         for i in range(n - 1, -1, -1):
-            t = m.tensors[i]
-            env = np.einsum("asb,csd,bd->ac", t, t, envs[i + 1], optimize=True)
+            env = _gram_right(m.tensors[i], envs[i + 1])
             scale = np.abs(env).max()
             if scale == 0.0:
                 raise DegenerateModelError("degenerate right environment while sampling")
@@ -263,37 +289,35 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
     bits = np.empty((batch, n), dtype=np.int8)
 
     if m.mode is EncodingMode.AMPLITUDE:
-        left = np.ones((batch, 1, 1))
+        v = np.ones((batch, 1))
+        weights = np.empty((batch, 2))
         for i, t in enumerate(m.tensors):
-            # site-local kernel (chi_l, chi_l', 2), sample independent
-            kernel = np.einsum("ksm,lsn,mn->kls", t, t, envs[i + 1], optimize=True)
-            weights = np.einsum("bkl,kls->bs", left, kernel, optimize=True)
+            # p(s | prefix) is proportional to w_s env w_s with w_s = v T[:, s, :]
+            w = [v @ t[:, 0, :], v @ t[:, 1, :]]
+            for s in (0, 1):
+                weights[:, s] = ((w[s] @ envs[i + 1]) * w[s]).sum(axis=1)
             np.maximum(weights, 0.0, out=weights)
             total = weights.sum(axis=1)
             if np.any(total <= 0.0):
                 raise DegenerateModelError("zero conditional marginal while sampling")
             drawn = (rng.random(batch) < weights[:, 1] / total).astype(np.int8)
             bits[:, i] = drawn
-            sel = t[:, drawn, :]  # (chi_l, B, chi_r)
-            half = np.einsum("bkl,kbm->blm", left, sel, optimize=True)
-            left = np.einsum("blm,lbn->bmn", half, sel, optimize=True)
-            scale = np.abs(left).max(axis=(1, 2))
+            v = np.where(drawn[:, None] == 1, w[1], w[0])
+            scale = np.abs(v).max(axis=1)
             if np.any(scale == 0.0):
                 raise DegenerateModelError("zero left environment while sampling")
-            left /= scale[:, None, None]
+            v /= scale[:, None]
     else:
         left = np.ones((batch, 1))
         for i, t in enumerate(m.tensors):
-            kernel = np.einsum("lsr,r->ls", t, envs[i + 1], optimize=True)
-            weights = left @ kernel  # (B, 2)
+            weights = left @ (t @ envs[i + 1])  # (B, 2)
             np.maximum(weights, 0.0, out=weights)
             total = weights.sum(axis=1)
             if np.any(total <= 0.0):
                 raise DegenerateModelError("zero conditional marginal while sampling")
             drawn = (rng.random(batch) < weights[:, 1] / total).astype(np.int8)
             bits[:, i] = drawn
-            sel = t[:, drawn, :]
-            left = np.einsum("bl,lbr->br", left, sel, optimize=True)
+            left = _left_step(left, t, drawn)
             scale = np.abs(left).max(axis=1)
             if np.any(scale == 0.0):
                 raise DegenerateModelError("zero left environment while sampling")
@@ -319,10 +343,11 @@ def apply_diffusion(m: Mps, p_flip: float) -> Mps:
         squared = []
         for t in m.tensors:
             chi_l, _, chi_r = t.shape
-            p = np.einsum("ayb,cyd->acybd", t, t).reshape(chi_l * chi_l, 2, chi_r * chi_r)
-            squared.append(np.einsum("xy,lyr->lxr", d, p))
+            # p[(a, c), y, (b, d)] = t[a, y, b] t[c, y, d]
+            p = t[:, None, :, :, None] * t[None, :, :, None, :]
+            squared.append(d @ p.reshape(chi_l * chi_l, 2, chi_r * chi_r))
         return Mps(tuple(squared), EncodingMode.DIRECT, max(m.chi_max**2, 1))
-    diffused = tuple(np.einsum("xy,lyr->lxr", d, t) for t in m.tensors)
+    diffused = tuple(d @ t for t in m.tensors)
     return Mps(diffused, m.mode, m.chi_max)
 
 

@@ -309,3 +309,17 @@ class TestCli:
     def test_missing_records_dir(self, tmp_path):
         code = main(["summarize", "--in", str(tmp_path / "void"), "--out", str(tmp_path / "s.csv")])
         assert code == 3
+
+    def test_numerical_failure_is_exit_4(self, tmp_path, capsys):
+        # Huge projected steps clamp so many entries to zero that a parent
+        # gets zero value, and training raises DegenerateModelError mid-run.
+        payload = {
+            "problem": {"kind": "onemax", "n_bits": 12},
+            "solver": {"preset": "TN3", "learning_rate": 1000.0, "generations": 50},
+            "seeds": [0],
+            "out": str(tmp_path / "results"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path)]) == 4
+        assert "numerical error" in capsys.readouterr().err

@@ -1,0 +1,181 @@
+"""Kernel agreement: the matmul contraction core against an einsum oracle.
+
+``einsum_oracle`` keeps the earlier einsum-based contractions. The core
+reorders floating-point arithmetic, so values must agree to about 1e-12
+relative, and samplers fed the same generator must draw the same bits.
+A last test makes ``numpy.einsum`` raise to keep it off the hot path.
+"""
+
+import numpy as np
+import pytest
+
+import einsum_oracle as oracle
+from tneda.experiment import build_problem, build_solver, run_single
+from tneda.models import (
+    TrainConfig,
+    born_pair_environments,
+    merge_pair,
+    pair_nll_gradient,
+    train_born_machine,
+    train_positive_mps,
+)
+from tneda.mps import (
+    EncodingMode,
+    apply_diffusion,
+    log_partition_function,
+    log_probability,
+    perfect_sample,
+    random_init,
+)
+
+REL = 1e-12
+MODES = [EncodingMode.AMPLITUDE, EncodingMode.DIRECT_POSITIVE]
+CHIS = [1, 2, 3, 4, 5]
+
+
+def assert_rel_close(actual, expected, rel=REL):
+    """max |actual - expected| <= rel * max |expected|, with -inf matched exactly."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    finite = np.isfinite(expected)
+    np.testing.assert_array_equal(np.isfinite(actual), finite)
+    np.testing.assert_array_equal(actual[~finite], expected[~finite])
+    if np.any(finite):
+        scale = np.abs(expected[finite]).max()
+        assert np.abs(actual[finite] - expected[finite]).max() <= rel * max(scale, 1e-300)
+
+
+def random_bits(n_rows, n_sites, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=(n_rows, n_sites))
+
+
+@pytest.fixture(scope="module")
+def diffused():
+    """A 40-site chi-5 Born model and its chi^2 = 25 diffused network."""
+    born = random_init(40, 5, EncodingMode.AMPLITUDE, seed=7)
+    return born, apply_diffusion(born, 0.01)
+
+
+@pytest.mark.parametrize("chi", CHIS)
+@pytest.mark.parametrize("mode", MODES)
+class TestScoring:
+    def test_log_partition_function(self, mode, chi):
+        m = random_init(9, chi, mode, seed=chi)
+        assert_rel_close(log_partition_function(m), oracle.log_partition_function(m))
+
+    def test_log_probability(self, mode, chi):
+        m = random_init(9, chi, mode, seed=10 + chi)
+        bits = random_bits(300, 9, seed=chi)
+        assert_rel_close(log_probability(m, bits), oracle.log_probability(m, bits))
+
+    def test_perfect_sample_same_bits(self, mode, chi):
+        m = random_init(9, chi, mode, seed=20 + chi)
+        drawn = perfect_sample(m, np.random.default_rng(chi), size=400)
+        expected = oracle.perfect_sample(m, np.random.default_rng(chi), 400)
+        np.testing.assert_array_equal(drawn, expected)
+
+
+class TestDiffusedNetwork:
+    def test_tensors(self, diffused):
+        born, net = diffused
+        for t, ref in zip(net.tensors, oracle.apply_diffusion(born, 0.01).tensors):
+            assert_rel_close(t, ref, rel=1e-15)
+        assert max(net.bond_dims) == 25
+
+    def test_log_partition_function(self, diffused):
+        _, net = diffused
+        assert_rel_close(log_partition_function(net), oracle.log_partition_function(net))
+
+    def test_log_probability(self, diffused):
+        _, net = diffused
+        bits = random_bits(500, 40, seed=3)
+        assert_rel_close(log_probability(net, bits), oracle.log_probability(net, bits))
+
+    def test_perfect_sample_same_bits(self, diffused):
+        _, net = diffused
+        drawn = perfect_sample(net, np.random.default_rng(5), size=200)
+        np.testing.assert_array_equal(drawn, oracle.perfect_sample(net, np.random.default_rng(5), 200))
+
+
+class TestTraining:
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_pair_nll_gradient_canonical(self, chi):
+        rng = np.random.default_rng(chi)
+        theta = rng.normal(size=(chi, 2, 2, chi + 1))
+        lx, rx = rng.normal(size=(50, chi)), rng.normal(size=(50, chi + 1))
+        xi, xj = rng.integers(0, 2, 50), rng.integers(0, 2, 50)
+        nll, grad = pair_nll_gradient(theta, lx, rx, xi, xj)
+        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx, rx, xi, xj)
+        assert_rel_close(nll, ref_nll)
+        assert_rel_close(grad, ref_grad)
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_pair_nll_gradient_any_gauge(self, chi):
+        m = random_init(8, chi, EncodingMode.AMPLITUDE, seed=chi)
+        bits = random_bits(60, 8, seed=chi)
+        envs = born_pair_environments(m, 3, bits)
+        for got, ref in zip(envs, oracle.born_pair_environments(m, 3, bits)):
+            assert_rel_close(got, ref)
+        theta = merge_pair(m, 3)
+        nll, grad = pair_nll_gradient(theta, *envs[:2], bits[:, 3], bits[:, 4], *envs[2:])
+        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, *envs[:2], bits[:, 3], bits[:, 4], *envs[2:])
+        assert_rel_close(nll, ref_nll)
+        assert_rel_close(grad, ref_grad)
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_born_sweep(self, chi):
+        # The Born gradient carries 1/psi, so at large rates a sweep turns
+        # rounding into O(1) changes: at 0.1 even the oracle fed permuted
+        # rows ends elsewhere. The check runs where the oracle is stable.
+        bits = random_bits(80, 10, seed=chi)
+        cfg = TrainConfig(learning_rate=0.002, chi_max=chi)
+        m = train_born_machine(bits, cfg, rng=chi)
+        ref = oracle.train_born_machine(bits, cfg, rng=chi)
+        perm = np.random.default_rng(0).permutation(len(bits))
+        for t, r in zip(oracle.train_born_machine(bits[perm], cfg, rng=chi).tensors, ref.tensors):
+            assert_rel_close(t, r)
+        assert m.bond_dims == ref.bond_dims
+        for t, r in zip(m.tensors, ref.tensors):
+            assert_rel_close(t, r)
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_positive_sweep(self, chi):
+        bits = random_bits(80, 10, seed=chi)
+        init = random_init(10, chi, EncodingMode.DIRECT_POSITIVE, seed=chi)
+        cfg = TrainConfig(learning_rate=0.15, chi_max=chi, fresh_init=False)
+        m = train_positive_mps(bits, cfg, init)
+        ref = oracle.train_positive_mps(bits, cfg, init)
+        for t, r in zip(m.tensors, ref.tensors):
+            assert_rel_close(t, r)
+
+
+class TestNoEinsum:
+    """The TN1 and TN3 hot paths run with ``numpy.einsum`` disabled."""
+
+    @pytest.fixture(autouse=True)
+    def no_einsum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.einsum called on the hot path")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+
+    @pytest.mark.parametrize("preset", ["TN1", "TN3"])
+    def test_one_generation(self, preset):
+        sampler = build_solver({"preset": preset}).make_model()
+        parents = random_bits(20, 16, seed=1)
+        rng = np.random.default_rng(2)
+        sampler.fit(parents, rng)
+        children = sampler.sample(50, rng)
+        assert np.all(np.isfinite(log_probability(sampler.model, children)))
+        net = apply_diffusion(sampler.model, 0.01)
+        assert np.all(np.isfinite(log_probability(net, children)))
+
+    def test_runs_with_kl_observer(self):
+        problem = build_problem({"kind": "onemax", "n_bits": 12})
+        for spec in (
+            {"preset": "TN1", "n_parents": 30, "n_children": 30, "n_init": 30, "generations": 2,
+             "diagnostics": {"reference": {}}},
+            {"preset": "TN3", "generations": 2},
+        ):
+            records = run_single(problem, spec, seed=0, optimum=None)
+            assert len(records) == 2
