@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolve import BoltzmannSelection, EdaConfig, RunRecord, SolutionBank, boltzmann_weights, run_eda
+from .evolve import BoltzmannSelection, EdaConfig, RunRecord, boltzmann_weights, run_eda, top_k_pool
 from .models import FiniteDistribution, model_log_probability, model_kl_vs_target
 from .mps import Mps, apply_diffusion
 
@@ -48,17 +48,7 @@ class ReferenceRunResult:
 
 def boltzmann_target(bank, temperature: float, pool_size: int | None = None) -> FiniteDistribution:
     """The selection distribution as an explicit finite distribution."""
-    if isinstance(bank, SolutionBank):
-        strings, values = bank.strings, bank.values
-    else:
-        strings, values = bank
-        strings = np.asarray(strings)
-        values = np.asarray(values, dtype=np.float64)
-    if strings.shape[0] == 0:
-        raise ValueError("empty selection pool")
-    if pool_size is not None and pool_size < strings.shape[0]:
-        keep = np.argsort(values, kind="stable")[:pool_size]
-        strings, values = strings[keep], values[keep]
+    strings, values = top_k_pool(bank, pool_size)
     return FiniteDistribution(strings.copy(), boltzmann_weights(values, temperature))
 
 

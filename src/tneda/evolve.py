@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -36,14 +37,58 @@ class DegenerateBankError(ValueError):
     """All banked objectives are equal; no gap to set a temperature from."""
 
 
+def top_k_indices(values, k: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:k]`` in O(n) plus a sort of k.
+
+    The k-th smallest value is found by partition; every index below it
+    and the first indices equal to it (in array order) are then sorted
+    stably, which reproduces the full stable argsort's ties exactly. NaNs
+    sort last, as in argsort; a NaN k-th value falls back to the full sort.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    k = max(0, min(int(k), n))
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(values, k - 1)[k - 1]
+    if k == n or np.isnan(kth):
+        return np.argsort(values, kind="stable")[:k]
+    below = np.flatnonzero(values < kth)
+    tied = np.flatnonzero(values == kth)[: k - below.size]
+    keep = np.sort(np.concatenate((below, tied)))
+    return keep[np.argsort(values[keep], kind="stable")]
+
+
+def top_k_pool(pool, k: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(strings, values) of the k best pool entries, ties by position.
+
+    ``pool`` is a :class:`SolutionBank` or a (strings, values) pair; ``k``
+    ``None`` (or at least the pool size) keeps the whole pool unchanged.
+    """
+    strings, values = _pool_arrays(pool)
+    if strings.shape[0] == 0:
+        raise ValueError("empty selection pool")
+    if k is not None and k < strings.shape[0]:
+        keep = top_k_indices(values, k)
+        strings, values = strings[keep], values[keep]
+    return strings, values
+
+
 class SolutionBank:
     """Deduplicated, insertion-ordered store of evaluated solutions.
 
     The number of entries equals the number of objective-function calls
-    made so far: a string is evaluated at most once per run.
+    made so far: a string is evaluated at most once per run. Rows are
+    keyed by their int8 bytes; the batch methods build every key at once
+    from a void view of the whole (B, N) array.
+
+    The best entry is the first minimum among non-NaN values, or the first
+    entry while every value is NaN.
     """
 
     def __init__(self, n_bits: int, capacity: int = 1024):
+        if n_bits < 1:
+            raise ValueError("n_bits must be >= 1")
         self.n_bits = int(n_bits)
         self._index: dict[bytes, int] = {}
         self._strings = np.empty((capacity, self.n_bits), dtype=np.int8)
@@ -56,10 +101,26 @@ class SolutionBank:
         return self._n
 
     def __contains__(self, bits) -> bool:
-        return np.asarray(bits, dtype=np.int8).tobytes() in self._index
+        return self.lookup_many(self._one_row(bits))[0] >= 0
+
+    def _rows(self, rows) -> np.ndarray:
+        rows = np.ascontiguousarray(rows, dtype=np.int8)
+        if rows.ndim != 2 or rows.shape[1] != self.n_bits:
+            raise ValueError(f"expected a (B, {self.n_bits}) bit array, got shape {rows.shape}")
+        return rows
+
+    def _one_row(self, bits) -> np.ndarray:
+        row = np.asarray(bits, dtype=np.int8)
+        if row.shape != (self.n_bits,):
+            raise ValueError(f"expected a length-{self.n_bits} bit string")
+        return row[None, :]
+
+    def _keys(self, rows: np.ndarray) -> list[bytes]:
+        """One bytes key per row, read through a void view of the whole batch."""
+        return rows.view(f"V{self.n_bits}").ravel().tolist()
 
     def _grow(self, need: int) -> None:
-        cap = self._strings.shape[0]
+        cap = max(self._strings.shape[0], 1)
         while cap < need:
             cap *= 2
         strings = np.empty((cap, self.n_bits), dtype=np.int8)
@@ -70,29 +131,68 @@ class SolutionBank:
         gens[: self._n] = self._generations[: self._n]
         self._strings, self._values, self._generations = strings, values, gens
 
+    def lookup_many(self, rows) -> np.ndarray:
+        """Bank position of each row, -1 where the row is absent."""
+        rows = self._rows(rows)
+        positions = map(self._index.get, self._keys(rows), repeat(-1))
+        return np.fromiter(positions, dtype=np.int64, count=rows.shape[0])
+
+    def unseen(self, rows, limit: int) -> np.ndarray:
+        """The first ``limit`` rows absent from the bank, each once, in row order."""
+        rows = self._rows(rows)
+        index = self._index
+        fresh = [key for key in dict.fromkeys(self._keys(rows)) if key not in index][: max(limit, 0)]
+        return np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(len(fresh), self.n_bits)
+
+    def insert_many(self, rows, values, generation: int) -> int:
+        """Append rows absent from the bank, in the given order.
+
+        A row already banked, or repeated within ``rows``, is skipped after
+        its first occurrence. Returns the number of rows inserted.
+        """
+        rows = self._rows(rows)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.shape[0] != rows.shape[0]:
+            raise ValueError("need one value per row")
+        index = self._index
+        first: dict[bytes, int] = {}  # unbanked key -> its first row, in row order
+        keep = [
+            i for i, key in enumerate(self._keys(rows)) if key not in index and first.setdefault(key, i) == i
+        ]
+        m = len(keep)
+        if m == 0:
+            return 0
+        start = self._n
+        index.update(zip(first, range(start, start + m)))
+        if m < rows.shape[0]:
+            rows, values = rows[keep], values[keep]
+        if start + m > self._strings.shape[0]:
+            self._grow(start + m)
+        self._strings[start : start + m] = rows
+        self._values[start : start + m] = values
+        self._generations[start : start + m] = generation
+        self._n = start + m
+        self._update_best(start, values)
+        return m
+
+    def _update_best(self, start: int, new_values: np.ndarray) -> None:
+        valid = np.flatnonzero(~np.isnan(new_values))
+        if valid.size == 0:
+            if self._best < 0:
+                self._best = start
+            return
+        candidate = int(valid[np.argmin(new_values[valid])])
+        current = self._values[self._best] if self._best >= 0 else np.nan
+        if np.isnan(current) or new_values[candidate] < current:
+            self._best = start + candidate
+
     def add(self, bits, value: float, generation: int) -> bool:
         """Insert a solution; returns False (and changes nothing) on a duplicate."""
-        row = np.asarray(bits, dtype=np.int8)
-        if row.shape != (self.n_bits,):
-            raise ValueError(f"expected a length-{self.n_bits} bit string")
-        key = row.tobytes()
-        if key in self._index:
-            return False
-        if self._n == self._strings.shape[0]:
-            self._grow(self._n + 1)
-        pos = self._n
-        self._strings[pos] = row
-        self._values[pos] = value
-        self._generations[pos] = generation
-        self._index[key] = pos
-        self._n += 1
-        if self._best < 0 or value < self._values[self._best]:
-            self._best = pos
-        return True
+        return self.insert_many(self._one_row(bits), [value], generation) == 1
 
     def value_of(self, bits) -> float | None:
-        pos = self._index.get(np.asarray(bits, dtype=np.int8).tobytes())
-        return None if pos is None else float(self._values[pos])
+        pos = self.lookup_many(self._one_row(bits))[0]
+        return None if pos < 0 else float(self._values[pos])
 
     @property
     def strings(self) -> np.ndarray:
@@ -114,8 +214,7 @@ class SolutionBank:
 
     def top_indices(self, k: int) -> np.ndarray:
         """Indices of the k best entries, ties broken by first-seen order."""
-        order = np.argsort(self.values, kind="stable")
-        return order[: min(k, self._n)]
+        return top_k_indices(self.values, k)
 
 
 # --- temperatures -------------------------------------------------------------
@@ -237,12 +336,7 @@ def boltzmann_select(bank, n: int, temperature: float, pool_size: int | None = N
     Returns:
         (n, N) int8 array of selected strings.
     """
-    strings, values = _pool_arrays(bank)
-    if strings.shape[0] == 0:
-        raise ValueError("empty selection pool")
-    if pool_size is not None and pool_size < strings.shape[0]:
-        keep = np.argsort(values, kind="stable")[:pool_size]
-        strings, values = strings[keep], values[keep]
+    strings, values = top_k_pool(bank, pool_size)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     idx = rng.choice(strings.shape[0], size=n, replace=True, p=boltzmann_weights(values, temperature))
     return strings[idx].astype(np.int8, copy=True)
@@ -268,8 +362,7 @@ def greedy_select(samples, values, k: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if samples.shape[0] == 0:
         raise ValueError("empty sample list")
-    keep = np.argsort(values, kind="stable")[: min(k, samples.shape[0])]
-    return samples[keep].astype(np.int8, copy=True)
+    return samples[top_k_indices(values, k)].astype(np.int8, copy=True)
 
 
 def _pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
@@ -489,30 +582,19 @@ class GenerationContext:
 def _evaluate_new(problem, bank: SolutionBank, children: np.ndarray, generation: int, budget: int):
     """Evaluate children absent from the bank, up to the remaining budget.
 
+    One pass over the batch: the first occurrence of every unseen child is
+    evaluated in one ``evaluate_batch`` call and banked in child order.
+
     Returns (per-child values with NaN where unknown, number of new calls).
     """
-    room = budget - len(bank)
-    fresh_rows: list[np.ndarray] = []
-    staged: dict[bytes, int] = {}
-    for row in children:
-        key = row.tobytes()
-        if key in bank._index or key in staged:
-            continue
-        if len(fresh_rows) >= room:
-            continue
-        staged[key] = len(fresh_rows)
-        fresh_rows.append(row)
-    if fresh_rows:
-        fresh = np.asarray(fresh_rows, dtype=np.int8)
-        values = np.asarray(problem.evaluate_batch(fresh), dtype=np.float64)
-        for row, value in zip(fresh, values):
-            bank.add(row, float(value), generation)
+    fresh = bank.unseen(children, budget - len(bank))
+    if fresh.shape[0]:
+        bank.insert_many(fresh, problem.evaluate_batch(fresh), generation)
+    positions = bank.lookup_many(children)
+    known = positions >= 0
     child_values = np.full(children.shape[0], np.nan)
-    for pos, row in enumerate(children):
-        known = bank.value_of(row)
-        if known is not None:
-            child_values[pos] = known
-    return child_values, len(fresh_rows)
+    child_values[known] = bank.values[positions[known]]
+    return child_values, fresh.shape[0]
 
 
 def run_eda(
@@ -576,13 +658,7 @@ def run_eda(
                 except DegenerateBankError:
                     temperature = TEMPERATURE_FLOOR
                 temperature = max(temperature, TEMPERATURE_FLOOR)
-            if selection.pool_size is not None and selection.pool_size < len(bank):
-                keep = bank.top_indices(selection.pool_size)
-                pool_strings = bank.strings[keep]
-                pool_values = bank.values[keep]
-            else:
-                pool_strings = bank.strings
-                pool_values = bank.values
+            pool_strings, pool_values = top_k_pool(bank, selection.pool_size)
             parents = boltzmann_select(
                 (pool_strings, pool_values), cfg.n_parents, temperature, None, rng
             )

@@ -1,0 +1,159 @@
+"""Property tests for the solution bank's batch path and the loop's call budget."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bank_oracle import ReferenceBank, reference_evaluate_new
+from tneda.evolve import (
+    AdaptiveGapSchedule,
+    AnnealedSchedule,
+    BoltzmannSelection,
+    ChainBayesSampler,
+    CrossoverSampler,
+    EdaConfig,
+    GreedyTopK,
+    PopulationUpdate,
+    SolutionBank,
+    TournamentSelection,
+    _evaluate_new,
+    run_eda,
+    top_k_indices,
+    top_k_pool,
+)
+from tneda.problems import OneMax
+
+SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+# few distinct values, so ties are the rule; NaN, infinities and signed zeros included
+TIE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 1.0, 2.5])
+
+
+def bits_of(codes, n_bits: int) -> np.ndarray:
+    codes = np.asarray(codes, dtype=np.int64)
+    return ((codes[:, None] >> np.arange(n_bits)) & 1).astype(np.int8)
+
+
+class TableProblem:
+    """Objective read from a table indexed by the string's integer code."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.float64)
+        self.n_bits = int(self.table.size).bit_length() - 1
+
+    def evaluate_batch(self, x):
+        return self.table[np.asarray(x, dtype=np.int64) @ (1 << np.arange(self.n_bits))]
+
+
+@st.composite
+def evaluation_cases(draw):
+    n_bits = draw(st.integers(1, 5))
+    table = draw(st.lists(TIE_VALUES, min_size=2**n_bits, max_size=2**n_bits))
+    batch = st.lists(st.integers(0, 2**n_bits - 1), min_size=0, max_size=24)
+    generations = draw(st.lists(batch, min_size=1, max_size=5))
+    total = sum(len(g) for g in generations)
+    budget = draw(st.integers(0, total + 2))
+    return n_bits, table, generations, budget
+
+
+@SETTINGS
+@given(evaluation_cases())
+def test_batched_evaluation_matches_per_row_reference(case):
+    n_bits, table, generations, budget = case
+    problem = TableProblem(table)
+    bank, reference = SolutionBank(n_bits, capacity=1), ReferenceBank(n_bits)
+    for generation, codes in enumerate(generations):
+        children = bits_of(codes, n_bits)
+        values, n_new = _evaluate_new(problem, bank, children, generation, budget)
+        want_values, want_new = reference_evaluate_new(problem, reference, children, generation, budget)
+        np.testing.assert_array_equal(values, want_values)
+        assert n_new == want_new
+        assert len(bank) == len(reference) <= max(budget, 0)
+        np.testing.assert_array_equal(bank.strings, np.asarray(reference.strings).reshape(-1, n_bits))
+        np.testing.assert_array_equal(bank.values, np.asarray(reference.values, dtype=np.float64))
+        np.testing.assert_array_equal(bank.generations, np.asarray(reference.generations, dtype=np.int64))
+        if len(bank):
+            bits, value = bank.best()
+            best = reference.best_index()
+            np.testing.assert_array_equal(bits, reference.strings[best])
+            np.testing.assert_array_equal(value, reference.values[best])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_top_k_matches_stable_argsort(data):
+    values = np.asarray(data.draw(st.lists(TIE_VALUES, max_size=40)), dtype=np.float64)
+    k = data.draw(st.integers(0, values.size + 2))
+    want = np.argsort(values, kind="stable")[:k]
+    np.testing.assert_array_equal(top_k_indices(values, k), want)
+
+    n_bits = 6
+    bank = SolutionBank(n_bits)
+    bank.insert_many(bits_of(np.arange(values.size), n_bits), values, 0)
+    np.testing.assert_array_equal(bank.top_indices(k), want)
+    if values.size:
+        # a pool no larger than k is kept whole, in bank order
+        keep = want if k < values.size else np.arange(values.size)
+        strings, pool_values = top_k_pool(bank, k)
+        np.testing.assert_array_equal(strings, bank.strings[keep])
+        np.testing.assert_array_equal(pool_values, values[keep])
+
+
+class CountingProblem:
+    """Wraps a problem and fails on any string evaluated a second time."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.n_bits = problem.n_bits
+        self.seen: set[bytes] = set()
+
+    def evaluate_batch(self, x):
+        x = np.asarray(x, dtype=np.int8)
+        for row in x:
+            key = row.tobytes()
+            assert key not in self.seen, "string evaluated twice"
+            self.seen.add(key)
+        return self.problem.evaluate_batch(x)
+
+
+POLICIES = {
+    "boltzmann-annealed": (BoltzmannSelection(AnnealedSchedule()), ChainBayesSampler, PopulationUpdate.APPEND_TO_BANK),
+    "boltzmann-adaptive-pool": (
+        BoltzmannSelection(AdaptiveGapSchedule(rank=3), pool_size=7),
+        CrossoverSampler,
+        PopulationUpdate.REPLACE_WITH_NEW_UNIQUE,
+    ),
+    "tournament": (TournamentSelection(3), CrossoverSampler, PopulationUpdate.REPLACE_WITH_NEW_UNIQUE),
+    "greedy": (GreedyTopK(5), ChainBayesSampler, PopulationUpdate.REPLACE_WITH_NEW_UNIQUE),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@settings(max_examples=15, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bits=st.integers(3, 9),
+    n_children=st.integers(2, 30),
+    extra_budget=st.integers(1, 200),
+    mutation_rate=st.sampled_from([0.0, 0.05, 0.3]),
+)
+def test_no_string_evaluated_twice(policy, seed, n_bits, n_children, extra_budget, mutation_rate):
+    selection, make_model, update = POLICIES[policy]
+    problem = CountingProblem(OneMax(n_bits))
+    cfg = EdaConfig(
+        n_parents=n_children,
+        n_children=n_children,
+        generations=12,
+        mutation_rate=mutation_rate,
+        call_budget=n_children + extra_budget,
+        population_update=update,
+        elitism=update is PopulationUpdate.REPLACE_WITH_NEW_UNIQUE,
+    )
+    records = run_eda(problem, make_model(), selection, cfg, rng=seed)
+    distinct = len(problem.seen)
+    assert records[-1].calls == distinct <= cfg.call_budget
+    initial = records[0].calls - records[0].n_new
+    assert initial + sum(r.n_new for r in records) == distinct

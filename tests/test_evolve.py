@@ -78,6 +78,78 @@ class TestSolutionBank:
         assert len(bank) == np.unique(rows, axis=0).shape[0]
         np.testing.assert_array_equal(bank.values, np.arange(len(bank), dtype=float))
 
+    def test_grows_from_zero_capacity(self):
+        bank = SolutionBank(2, capacity=0)
+        assert bank.insert_many([[0, 0], [0, 1], [1, 0]], [3.0, 2.0, 1.0], 0) == 3
+        np.testing.assert_array_equal(bank.values, [3.0, 2.0, 1.0])
+
+    def test_nan_does_not_pin_best(self):
+        bank = SolutionBank(2)
+        bank.add([0, 0], math.nan, 0)
+        bits, value = bank.best()
+        np.testing.assert_array_equal(bits, [0, 0])
+        assert math.isnan(value)
+        bank.add([1, 1], -5.0, 0)
+        bits, value = bank.best()
+        np.testing.assert_array_equal(bits, [1, 1])
+        assert value == -5.0
+        bank.add([0, 1], math.nan, 1)
+        bank.add([1, 0], -2.0, 1)
+        assert bank.best()[1] == -5.0
+
+    def test_nan_does_not_pin_best_in_batch(self):
+        bank = SolutionBank(2)
+        bank.insert_many([[0, 0], [1, 1], [0, 1]], [math.nan, 4.0, math.nan], 0)
+        np.testing.assert_array_equal(bank.best()[0], [1, 1])
+        bank.insert_many([[1, 0]], [math.inf], 1)
+        assert bank.best()[1] == 4.0
+
+    def test_all_nan_best_is_first_entry(self):
+        bank = SolutionBank(2)
+        bank.insert_many([[1, 0], [0, 1]], [math.nan, math.nan], 0)
+        np.testing.assert_array_equal(bank.best()[0], [1, 0])
+
+    def test_batch_best_is_first_strict_minimum(self):
+        bank = SolutionBank(3)
+        bank.add([0, 0, 0], 1.0, 0)
+        bank.insert_many([[0, 0, 1], [0, 1, 0], [0, 1, 1]], [1.0, 0.5, 0.5], 1)
+        np.testing.assert_array_equal(bank.best()[0], [0, 1, 0])
+        bank.insert_many([[1, 0, 0]], [0.5], 2)
+        np.testing.assert_array_equal(bank.best()[0], [0, 1, 0])
+
+    def test_insert_many_skips_banked_and_repeated_rows(self):
+        bank = SolutionBank(3)
+        bank.add([1, 1, 1], 9.0, 0)
+        rows = [[0, 0, 1], [1, 1, 1], [0, 0, 1], [1, 0, 0]]
+        assert bank.insert_many(rows, [1.0, 2.0, 3.0, 4.0], 5) == 2
+        np.testing.assert_array_equal(bank.strings, [[1, 1, 1], [0, 0, 1], [1, 0, 0]])
+        np.testing.assert_array_equal(bank.values, [9.0, 1.0, 4.0])
+        np.testing.assert_array_equal(bank.generations, [0, 5, 5])
+
+    def test_lookup_many_positions(self):
+        bank = SolutionBank(2)
+        bank.insert_many([[1, 1], [0, 1]], [1.0, 2.0], 0)
+        np.testing.assert_array_equal(bank.lookup_many([[0, 1], [0, 0], [1, 1], [0, 1]]), [1, -1, 0, 1])
+        assert bank.lookup_many(np.empty((0, 2), dtype=np.int8)).shape == (0,)
+
+    def test_unseen_keeps_first_occurrences_up_to_limit(self):
+        bank = SolutionBank(2)
+        bank.add([0, 0], 0.0, 0)
+        rows = [[1, 1], [0, 0], [1, 1], [0, 1], [1, 0]]
+        np.testing.assert_array_equal(bank.unseen(rows, 5), [[1, 1], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(bank.unseen(rows, 2), [[1, 1], [0, 1]])
+        assert bank.unseen(rows, 0).shape == (0, 2)
+        assert bank.unseen(rows, -3).shape == (0, 2)
+
+    def test_batch_methods_reject_wrong_width(self):
+        bank = SolutionBank(3)
+        with pytest.raises(ValueError):
+            bank.lookup_many([[0, 1]])
+        with pytest.raises(ValueError):
+            bank.insert_many([[0, 1]], [1.0], 0)
+        with pytest.raises(ValueError):
+            bank.insert_many([[0, 1, 1]], [1.0, 2.0], 0)
+
 
 class TestAnnealedTemperature:
     def test_endpoints(self):
