@@ -131,34 +131,24 @@ class SolutionBank:
         gens[: self._n] = self._generations[: self._n]
         self._strings, self._values, self._generations = strings, values, gens
 
-    def lookup_many(self, rows) -> np.ndarray:
-        """Bank position of each row, -1 where the row is absent."""
-        rows = self._rows(rows)
-        positions = map(self._index.get, self._keys(rows), repeat(-1))
-        return np.fromiter(positions, dtype=np.int64, count=rows.shape[0])
+    def _from_keys(self, keys: list[bytes]) -> np.ndarray:
+        return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), self.n_bits)
 
-    def unseen(self, rows, limit: int) -> np.ndarray:
-        """The first ``limit`` rows absent from the bank, each once, in row order."""
-        rows = self._rows(rows)
+    def _lookup(self, keys: list[bytes]) -> np.ndarray:
+        positions = map(self._index.get, keys, repeat(-1))
+        return np.fromiter(positions, dtype=np.int64, count=len(keys))
+
+    def _unseen(self, keys: list[bytes], limit: int) -> list[bytes]:
         index = self._index
-        fresh = [key for key in dict.fromkeys(self._keys(rows)) if key not in index][: max(limit, 0)]
-        return np.frombuffer(b"".join(fresh), dtype=np.int8).reshape(len(fresh), self.n_bits)
+        return [key for key in dict.fromkeys(keys) if key not in index][: max(limit, 0)]
 
-    def insert_many(self, rows, values, generation: int) -> int:
-        """Append rows absent from the bank, in the given order.
-
-        A row already banked, or repeated within ``rows``, is skipped after
-        its first occurrence. Returns the number of rows inserted.
-        """
-        rows = self._rows(rows)
+    def _insert(self, keys: list[bytes], rows: np.ndarray, values, generation: int) -> int:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if values.shape[0] != rows.shape[0]:
             raise ValueError("need one value per row")
         index = self._index
         first: dict[bytes, int] = {}  # unbanked key -> its first row, in row order
-        keep = [
-            i for i, key in enumerate(self._keys(rows)) if key not in index and first.setdefault(key, i) == i
-        ]
+        keep = [i for i, key in enumerate(keys) if key not in index and first.setdefault(key, i) == i]
         m = len(keep)
         if m == 0:
             return 0
@@ -174,6 +164,45 @@ class SolutionBank:
         self._n = start + m
         self._update_best(start, values)
         return m
+
+    def lookup_many(self, rows) -> np.ndarray:
+        """Bank position of each row, -1 where the row is absent."""
+        return self._lookup(self._keys(self._rows(rows)))
+
+    def unseen(self, rows, limit: int) -> np.ndarray:
+        """The first ``limit`` rows absent from the bank, each once, in row order."""
+        return self._from_keys(self._unseen(self._keys(self._rows(rows)), limit))
+
+    def insert_many(self, rows, values, generation: int) -> int:
+        """Append rows absent from the bank, in the given order.
+
+        A row already banked, or repeated within ``rows``, is skipped after
+        its first occurrence. Returns the number of rows inserted.
+        """
+        rows = self._rows(rows)
+        return self._insert(self._keys(rows), rows, values, generation)
+
+    def evaluate_unseen(self, rows, objective, limit: int, generation: int) -> tuple[np.ndarray, int]:
+        """Bank ``objective`` on the unseen rows, then return every row's value.
+
+        ``unseen(rows, limit)`` goes to one ``objective`` call and is banked
+        in row order, as by ``insert_many``. The batch's keys are built once
+        and serve all three steps.
+
+        Returns (per-row values with NaN where a row is not banked, number
+        of rows evaluated).
+        """
+        rows = self._rows(rows)
+        keys = self._keys(rows)
+        fresh_keys = self._unseen(keys, limit)
+        if fresh_keys:
+            fresh = self._from_keys(fresh_keys)
+            self._insert(fresh_keys, fresh, objective(fresh), generation)
+        positions = self._lookup(keys)
+        known = positions >= 0
+        values = np.full(rows.shape[0], np.nan)
+        values[known] = self._values[positions[known]]
+        return values, len(fresh_keys)
 
     def _update_best(self, start: int, new_values: np.ndarray) -> None:
         valid = np.flatnonzero(~np.isnan(new_values))
@@ -582,19 +611,9 @@ class GenerationContext:
 def _evaluate_new(problem, bank: SolutionBank, children: np.ndarray, generation: int, budget: int):
     """Evaluate children absent from the bank, up to the remaining budget.
 
-    One pass over the batch: the first occurrence of every unseen child is
-    evaluated in one ``evaluate_batch`` call and banked in child order.
-
     Returns (per-child values with NaN where unknown, number of new calls).
     """
-    fresh = bank.unseen(children, budget - len(bank))
-    if fresh.shape[0]:
-        bank.insert_many(fresh, problem.evaluate_batch(fresh), generation)
-    positions = bank.lookup_many(children)
-    known = positions >= 0
-    child_values = np.full(children.shape[0], np.nan)
-    child_values[known] = bank.values[positions[known]]
-    return child_values, fresh.shape[0]
+    return bank.evaluate_unseen(children, problem.evaluate_batch, budget - len(bank), generation)
 
 
 def run_eda(

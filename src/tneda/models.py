@@ -12,6 +12,13 @@ Three model families:
 
 Sweeps keep the chain in mixed-canonical form so the normalization at the
 active pair is exactly the Frobenius norm of the merged tensor.
+
+The Born machine fits the empirical distribution of its training rows
+(Han et al., arXiv:1709.01662): its NLL is ``-sum_x w(x) log p(x)`` with
+``w(x)`` the fraction of rows equal to ``x``. The trainer keeps one row
+per distinct string, weighted by its multiplicity, so every environment
+step runs on distinct rows only, and the fit does not depend on the order
+of the rows.
 """
 
 from __future__ import annotations
@@ -118,8 +125,14 @@ def pair_nll_gradient(
     xj: np.ndarray,
     la: np.ndarray | None = None,
     rb: np.ndarray | None = None,
+    w: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Born-machine NLL and its analytic gradient w.r.t. a merged pair.
+
+    The NLL is over the empirical distribution of the rows,
+    ``-2 sum_b w[b] log|psi(x_b)| + log Z``. Rows with weights summing to
+    1 give the same value and gradient as the rows repeated in proportion
+    to their weights, in any order.
 
     Args:
         theta: merged two-site tensor (chi_l, 2, 2, chi_r).
@@ -128,6 +141,7 @@ def pair_nll_gradient(
         xi, xj: the pair's bit columns, length n.
         la, rb: bond Gram matrices of the rest of the chain; ``None`` means
             identity (mixed-canonical gauge), in which case Z = ||theta||^2.
+        w: per-row weights summing to 1; ``None`` means uniform ``1/n``.
 
     Returns:
         (nll, gradient) where nll is exact when the environments carry no
@@ -135,6 +149,8 @@ def pair_nll_gradient(
         and for :func:`born_pair_gradient`).
     """
     n = lx.shape[0]
+    if w is None:
+        w = np.full(n, 1.0 / n)
     chi_l, _, _, chi_r = theta.shape
     code = 2 * xi + xj
     per_bits = (lx @ theta.reshape(chi_l, 4 * chi_r)).reshape(n, 4, chi_r)
@@ -151,11 +167,11 @@ def pair_nll_gradient(
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    grad_data = _pair_data_gradient(lx, rx / safe[:, None], code)
+    grad_data = _pair_data_gradient(lx, rx * (w / safe)[:, None], code)
 
     with np.errstate(divide="ignore"):
-        nll = -2.0 * float(np.mean(np.log(np.abs(safe)))) + math.log(z)
-    grad = -(2.0 / n) * grad_data + grad_z
+        nll = -2.0 * float(w @ np.log(np.abs(safe))) + math.log(z)
+    grad = -2.0 * grad_data + grad_z
     return nll, grad
 
 
@@ -226,6 +242,10 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     applied to the merged tensor, the network is renormalized to Z = 1, and
     the pair is split by truncated SVD (``cfg.chi_max``, ``cfg.svd_cutoff``).
 
+    The rows are reduced once to their distinct strings, in byte order,
+    each weighted by its share of the rows, so the fit is the same for any
+    order of the rows and its environments cost O(distinct rows).
+
     Args:
         data: (n, N) bit array, n >= 1.
         cfg: training settings.
@@ -234,11 +254,19 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
 
     Returns:
         Trained amplitude-mode model with Z = 1.
+
+    Raises:
+        DegenerateModelError: a gradient step left the merged tensor of a
+            pair zero or non-finite; the message names the pair.
     """
     bits = _as_data(data)
     n, width = bits.shape
     if width < 2:
         raise ValueError("two-site training needs at least 2 sites")
+    keys = np.ascontiguousarray(bits, dtype=np.int8).view(f"V{width}").ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    bits, w = bits[first], counts / n
+    n = bits.shape[0]
     if cfg.fresh_init or init is None:
         start = random_init(width, cfg.chi_max, EncodingMode.AMPLITUDE, rng)
     else:
@@ -261,11 +289,13 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
         for i, absorb, moving in _sweep_pair_schedule(width):
             theta = _merge(tensors[i], tensors[i + 1])
             for _ in range(cfg.grad_steps_per_pair):
-                _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], bits[:, i], bits[:, i + 1])
+                _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], bits[:, i], bits[:, i + 1], w=w)
                 theta = theta - cfg.learning_rate * grad
             norm = np.linalg.norm(theta)
+            if not math.isfinite(norm):
+                raise DegenerateModelError(f"pair {i}: merged tensor is non-finite after a gradient step")
             if norm == 0.0:
-                raise DegenerateModelError("merged tensor trained to zero")
+                raise DegenerateModelError(f"pair {i}: merged tensor trained to zero")
             theta /= norm
             left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
             tensors[i], tensors[i + 1] = left, right

@@ -104,7 +104,9 @@ class PortfolioProblem(Problem):
     def evaluate_batch(self, x):
         x = self._check(x).astype(np.float64)
         card = x.sum(axis=1)
-        quad = np.einsum("bi,ij,bj->b", x, self.sigma, x, optimize=True)
+        quad = x @ self.sigma
+        quad *= x
+        quad = quad.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             in_range = quad / card**2
         out = np.where(

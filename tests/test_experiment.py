@@ -323,3 +323,18 @@ class TestCli:
         path.write_text(json.dumps(payload))
         assert main(["run", "--config", str(path)]) == 4
         assert "numerical error" in capsys.readouterr().err
+
+    def test_born_step_overflow_is_exit_4(self, tmp_path, capsys):
+        # The first gradient step overflows the merged tensor of pair 0.
+        payload = {
+            "problem": {"kind": "onemax", "n_bits": 12},
+            "solver": {"preset": "TN1", "learning_rate": 1e308, "generations": 2,
+                       "n_parents": 30, "n_children": 30, "n_init": 30},
+            "seeds": [0],
+            "out": str(tmp_path / "results"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(path)]) == 4
+        assert "numerical error: pair 0: merged tensor is non-finite" in capsys.readouterr().err

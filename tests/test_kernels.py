@@ -3,11 +3,16 @@
 ``einsum_oracle`` keeps the earlier einsum-based contractions. The core
 reorders floating-point arithmetic, so values must agree to about 1e-12
 relative, and samplers fed the same generator must draw the same bits.
-A last test makes ``numpy.einsum`` raise to keep it off the hot path.
+The Born trainer fits one weighted row per distinct string; the oracle
+keeps one row per copy, so agreement on data with repeated rows checks the
+weighting. A last test makes ``numpy.einsum`` raise to keep it off the hot
+path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import einsum_oracle as oracle
 from tneda.experiment import build_problem, build_solver, run_single
@@ -20,6 +25,7 @@ from tneda.models import (
     train_positive_mps,
 )
 from tneda.mps import (
+    DegenerateModelError,
     EncodingMode,
     apply_diffusion,
     log_partition_function,
@@ -47,6 +53,18 @@ def assert_rel_close(actual, expected, rel=REL):
 
 def random_bits(n_rows, n_sites, seed):
     return np.random.default_rng(seed).integers(0, 2, size=(n_rows, n_sites))
+
+
+def repeated_index(n, seed):
+    """Each of 0..n-1 one to six times, shuffled."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.repeat(np.arange(n), rng.integers(1, 7, size=n)))
+
+
+def assert_same_model(a, b):
+    assert a.bond_dims == b.bond_dims
+    for ta, tb in zip(a.tensors, b.tensors):
+        np.testing.assert_array_equal(ta, tb)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +155,66 @@ class TestTraining:
         assert m.bond_dims == ref.bond_dims
         for t, r in zip(m.tensors, ref.tensors):
             assert_rel_close(t, r)
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_weighted_pair_nll_gradient(self, chi):
+        rng = np.random.default_rng(30 + chi)
+        theta = rng.normal(size=(chi, 2, 2, chi + 1))
+        lx, rx = rng.normal(size=(40, chi)), rng.normal(size=(40, chi + 1))
+        xi, xj = rng.integers(0, 2, 40), rng.integers(0, 2, 40)
+        b = repeated_index(40, seed=chi)
+        nll, grad = pair_nll_gradient(theta, lx, rx, xi, xj, w=np.bincount(b) / len(b))
+        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx[b], rx[b], xi[b], xj[b])
+        assert_rel_close(nll, ref_nll)
+        assert_rel_close(grad, ref_grad)
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_born_sweep_on_repeated_rows(self, chi):
+        bits = random_bits(30, 10, seed=40 + chi)[repeated_index(30, seed=chi)]
+        cfg = TrainConfig(learning_rate=0.002, chi_max=chi)
+        m = train_born_machine(bits, cfg, rng=chi)
+        ref = oracle.train_born_machine(bits, cfg, rng=chi)
+        assert m.bond_dims == ref.bond_dims
+        for t, r in zip(m.tensors, ref.tensors):
+            assert_rel_close(t, r)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        codes=st.lists(st.integers(0, 31), min_size=1, max_size=12),
+        copies=st.integers(1, 3),
+        chi=st.integers(1, 4),
+        learning_rate=st.sampled_from([0.0, 0.002, 0.15, 1.0]),
+        data=st.data(),
+    )
+    def test_born_fit_ignores_row_order_and_copies(self, codes, copies, chi, learning_rate, data):
+        bits = (np.array(codes)[:, None] >> np.arange(5)) & 1
+        perm = data.draw(st.permutations(range(len(codes))))
+        cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=2)
+
+        def fit(rows):
+            # A fit that breaks down (chi 1 at rate 1 can) must break down the same way.
+            try:
+                return train_born_machine(rows, cfg, rng=3)
+            except DegenerateModelError as err:
+                return str(err)
+
+        m = fit(bits)
+        for other in (fit(bits[perm]), fit(np.tile(bits, (copies, 1)))):
+            if isinstance(m, str):
+                assert other == m
+            else:
+                assert_same_model(m, other)
+
+    @pytest.mark.parametrize("learning_rate", [0.15, 1.0])
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_born_fit_finite_on_one_string(self, chi, learning_rate):
+        # Late in a run every parent can be one string; a single row is the same fit.
+        row = np.array([[1, 0, 1, 1, 0, 0, 1, 0, 1, 1]])
+        cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=3)
+        m = train_born_machine(row, cfg, rng=chi)
+        assert all(np.all(np.isfinite(t)) for t in m.tensors)
+        assert np.isfinite(log_probability(m, row[0]))
+        assert_same_model(m, train_born_machine(np.repeat(row, 500, axis=0), cfg, rng=chi))
 
     @pytest.mark.parametrize("chi", CHIS)
     def test_positive_sweep(self, chi):

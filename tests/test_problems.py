@@ -61,6 +61,18 @@ class TestPortfolio:
                 expected = 100.0 * (2 - k)
             assert p.evaluate(bits) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_batch_matches_einsum_form(self, n):
+        rng = np.random.default_rng(n)
+        sigma = random_covariance(n, seed=n)
+        p = PortfolioProblem(sigma, n_min=1, n_max=n, penalty_c=100.0)
+        x = rng.integers(0, 2, size=(500, n), dtype=np.int8)
+        x[:, 0] = 1  # keep every row in range, so each value is the quadratic form
+        xf = x.astype(np.float64)
+        expected = np.einsum("bi,ij,bj->b", xf, sigma, xf, optimize=True) / xf.sum(axis=1) ** 2
+        got = p.evaluate_batch(x)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_all_zero_never_divides(self):
         p = PortfolioProblem(np.eye(6), n_min=1, n_max=3, penalty_c=50.0)
         assert p.evaluate(np.zeros(6, dtype=np.int8)) == pytest.approx(50.0)
