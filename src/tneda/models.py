@@ -105,14 +105,14 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)).reshape(a.shape[0], 2, 2, b.shape[2])
 
 
-def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, code: np.ndarray) -> np.ndarray:
+def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """sum_b lx[b] (x) weighted[b] scattered to the pair's bits, (chi_l, 2, 2, chi_r).
 
-    ``code`` is ``2 * x_i + x_{i+1}`` per row; row b contributes only to
-    the block ``[:, x_i, x_{i+1}, :]`` its bits select.
+    ``onehot`` (n, 4, 1) is ``code[:, None, None] == np.arange(4)[:, None]``
+    for the pair codes ``2 * x_i + x_{i+1}``; row b contributes only to the
+    block ``[:, x_i, x_{i+1}, :]`` its bits select.
     """
     n, chi_r = weighted.shape
-    onehot = code[:, None, None] == np.arange(4)[:, None]
     scattered = np.where(onehot, weighted[:, None, :], 0.0).reshape(n, 4 * chi_r)
     return (lx.T @ scattered).reshape(lx.shape[1], 2, 2, chi_r)
 
@@ -167,7 +167,8 @@ def pair_nll_gradient(
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    grad_data = _pair_data_gradient(lx, rx * (w / safe)[:, None], code)
+    onehot = code[:, None, None] == np.arange(4)[:, None]
+    grad_data = _pair_data_gradient(lx, rx * (w / safe)[:, None], onehot)
 
     with np.errstate(divide="ignore"):
         nll = -2.0 * float(w @ np.log(np.abs(safe))) + math.log(z)
@@ -191,15 +192,14 @@ def born_pair_environments(
     """
     bits = _as_data(data)
     n = bits.shape[0]
-    lx = np.ones((n, 1))
-    la = np.ones((1, 1))
+    is_one = (bits.T == 1)[:, :, None]
+    lx, la = np.ones((n, 1)), np.ones((1, 1))
     for j in range(i):
-        lx = _left_step(lx, m.tensors[j], bits[:, j])
+        lx = _left_step(lx, m.tensors[j], is_one[j])
         la = _gram_left(la, m.tensors[j])
-    rx = np.ones((n, 1))
-    rb = np.ones((1, 1))
+    rx, rb = np.ones((n, 1)), np.ones((1, 1))
     for j in range(m.n_sites - 1, i + 1, -1):
-        rx = _right_step(m.tensors[j], bits[:, j], rx)
+        rx = _right_step(m.tensors[j], is_one[j], rx)
         rb = _gram_right(m.tensors[j], rb)
     return lx, rx, la, rb
 
@@ -267,6 +267,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     bits, w = bits[first], counts / n
     n = bits.shape[0]
+    is_one = (bits.T == 1)[:, :, None]
     if cfg.fresh_init or init is None:
         start = random_init(width, cfg.chi_max, EncodingMode.AMPLITUDE, rng)
     else:
@@ -279,12 +280,10 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
 
     for _ in range(cfg.sweeps):
         # right environments over sites j.. for the current tensors
-        rx = [None] * (width + 1)
-        rx[width] = np.ones((n, 1))
+        rx = [None] * width + [np.ones((n, 1))]
         for j in range(width - 1, 1, -1):
-            rx[j] = _right_step(tensors[j], bits[:, j], rx[j + 1])
-        lx = [None] * width
-        lx[0] = np.ones((n, 1))
+            rx[j] = _right_step(tensors[j], is_one[j], rx[j + 1])
+        lx = [np.ones((n, 1))] + [None] * (width - 1)
 
         for i, absorb, moving in _sweep_pair_schedule(width):
             theta = _merge(tensors[i], tensors[i + 1])
@@ -300,22 +299,23 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
             left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
             tensors[i], tensors[i + 1] = left, right
             if moving == "right":
-                lx[i + 1] = _left_step(lx[i], left, bits[:, i])
+                lx[i + 1] = _left_step(lx[i], left, is_one[i])
             else:
-                rx[i + 1] = _right_step(right, bits[:, i + 1], rx[i + 2])
+                rx[i + 1] = _right_step(right, is_one[i + 1], rx[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.AMPLITUDE, cfg.chi_max)
 
 
+# The environments of a direct-positive chain are nonnegative: the largest entry is the scale.
 def _normalize_rows(a: np.ndarray) -> np.ndarray:
-    scale = np.abs(a).max(axis=1)
-    if np.any(scale == 0.0):
+    scale = a.max(axis=1)
+    if not scale.all():
         raise DegenerateModelError("a training sample has zero value under the model")
     return a / scale[:, None]
 
 
 def _normalize_vec(v: np.ndarray) -> np.ndarray:
-    scale = np.abs(v).max()
+    scale = v.max()
     if scale == 0.0:
         raise DegenerateModelError("normalization vanished during training")
     return v / scale
@@ -330,6 +330,15 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
     (projected ascent). Bond dimensions never change and a zero learning
     rate leaves the model untouched, so the update is genuinely
     incremental.
+
+    What does not change within a fit is built once per fit: the bit masks
+    of every site, the one-hots of every pair's codes ``2 x_i + x_{i+1}``
+    and the site sums ``T[:, 0, :] + T[:, 1, :]``; a step refreshes only
+    the sums of the two tensors it changes.
+
+    Raises:
+        DegenerateModelError: Z or a row's value vanished, or a step left a
+            site tensor non-finite; the latter names the pair.
     """
     bits = _as_data(data)
     n, width = bits.shape
@@ -340,37 +349,31 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
     if width < 2:
         raise ValueError("two-site training needs at least 2 sites")
     tensors = [t.copy() for t in init.tensors]
+    sums = [t.sum(axis=1) for t in tensors]
+    is_one = (bits.T == 1)[:, :, None]
+    onehots = (2 * bits[:, :-1] + bits[:, 1:]).T[:, :, None, None] == np.arange(4)[:, None]
     lr = cfg.learning_rate
 
     for _ in range(cfg.sweeps):
-        rx = [None] * (width + 1)
-        rsum = [None] * (width + 1)
-        rx[width] = np.ones((n, 1))
-        rsum[width] = np.ones(1)
+        rx, rsum = [None] * width + [np.ones((n, 1))], [None] * width + [np.ones(1)]
         for j in range(width - 1, 1, -1):
-            rx[j] = _normalize_rows(_right_step(tensors[j], bits[:, j], rx[j + 1]))
-            rsum[j] = _normalize_vec(tensors[j].sum(axis=1) @ rsum[j + 1])
-        lx = [None] * width
-        lsum = [None] * width
-        lx[0] = np.ones((n, 1))
-        lsum[0] = np.ones(1)
+            rx[j] = _normalize_rows(_right_step(tensors[j], is_one[j], rx[j + 1]))
+            rsum[j] = _normalize_vec(sums[j] @ rsum[j + 1])
+        lx, lsum = [np.ones((n, 1))] + [None] * (width - 1), [np.ones(1)] + [None] * (width - 1)
 
         for i, _, moving in _sweep_pair_schedule(width):
             ti, tj = tensors[i], tensors[i + 1]
-            mid = _left_step(lx[i], ti, bits[:, i])
-            amps = (_left_step(mid, tj, bits[:, i + 1]) * rx[i + 2]).sum(axis=1)
+            mid = _left_step(lx[i], ti, is_one[i])
+            amps = (_left_step(mid, tj, is_one[i + 1]) * rx[i + 2]).sum(axis=1)
             safe = np.maximum(amps, _AMP_FLOOR)
 
-            ti_sum = ti.sum(axis=1)
-            tj_sum = tj.sum(axis=1)
-            z = float(lsum[i] @ ti_sum @ tj_sum @ rsum[i + 2])
+            z = float(lsum[i] @ sums[i] @ sums[i + 1] @ rsum[i + 2])
             if z <= 0.0:
                 raise DegenerateModelError("normalization vanished during training")
 
-            code = 2 * bits[:, i] + bits[:, i + 1]
-            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / safe[:, None], code)
+            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / safe[:, None], onehots[i])
             grad_theta /= n
-            grad_theta -= np.outer(lsum[i], rsum[i + 2])[:, None, None, :] / z
+            grad_theta -= lsum[i][:, None, None, None] * rsum[i + 2] / z
 
             # chain rule through theta = T_i T_j
             grad_flat = grad_theta.reshape(2 * ti.shape[0], 2 * tj.shape[2])
@@ -378,13 +381,17 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             grad_j = (ti.reshape(-1, ti.shape[2]).T @ grad_flat).reshape(tj.shape)
             tensors[i] = np.maximum(ti + lr * grad_i, 0.0)
             tensors[i + 1] = np.maximum(tj + lr * grad_j, 0.0)
+            # Entries are now nonnegative, +inf or NaN, so a finite largest entry means finite entries.
+            if not (math.isfinite(tensors[i].max()) and math.isfinite(tensors[i + 1].max())):
+                raise DegenerateModelError(f"pair {i}: site tensor is non-finite after a gradient step")
+            sums[i], sums[i + 1] = tensors[i].sum(axis=1), tensors[i + 1].sum(axis=1)
 
             if moving == "right":
-                lx[i + 1] = _normalize_rows(_left_step(lx[i], tensors[i], bits[:, i]))
-                lsum[i + 1] = _normalize_vec(lsum[i] @ tensors[i].sum(axis=1))
+                lx[i + 1] = _normalize_rows(_left_step(lx[i], tensors[i], is_one[i]))
+                lsum[i + 1] = _normalize_vec(lsum[i] @ sums[i])
             else:
-                rx[i + 1] = _normalize_rows(_right_step(tensors[i + 1], bits[:, i + 1], rx[i + 2]))
-                rsum[i + 1] = _normalize_vec(tensors[i + 1].sum(axis=1) @ rsum[i + 2])
+                rx[i + 1] = _normalize_rows(_right_step(tensors[i + 1], is_one[i + 1], rx[i + 2]))
+                rsum[i + 1] = _normalize_vec(sums[i + 1] @ rsum[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.DIRECT_POSITIVE, init.chi_max)
 

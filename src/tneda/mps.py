@@ -14,9 +14,11 @@ Every per-string contraction goes through two fixed matmul steps. A bit
 selects the transfer matrix ``T[:, bit, :]`` of its site, so a batch of
 left vectors ``v`` of shape (B, chi_l) advances as ``v @ T[:, 0, :]`` or
 ``v @ T[:, 1, :]`` row by row (:func:`_left_step`), and right vectors
-advance through the transposes (:func:`_right_step`). Born-rule sampling
-carries one amplitude vector ``v`` per sample, not the matrix ``v v^T``,
-so a site costs O(chi^2) per sample.
+advance through the transposes (:func:`_right_step`). A step takes its
+bits as a (B, 1) mask "bit is 1"; callers build the masks of all sites
+once per call, ``(bits.T == 1)[:, :, None]``. Born-rule sampling carries
+one amplitude vector ``v`` per sample, not the matrix ``v v^T``, so a site
+costs O(chi^2) per sample.
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ class Mps:
         for i, t in enumerate(tensors):
             if t.ndim != 3 or t.shape[1] != 2:
                 raise ValueError(f"site {i}: expected shape (chi_l, 2, chi_r), got {t.shape}")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"site {i}: non-finite entries")
+        entries = np.concatenate([t.ravel() for t in tensors])
+        if not np.isfinite(entries).all():
+            bad = next(i for i, t in enumerate(tensors) if not np.isfinite(t).all())
+            raise ValueError(f"site {bad}: non-finite entries")
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise ValueError("boundary bond dimensions must be 1")
         for i in range(len(tensors) - 1):
@@ -78,7 +82,7 @@ class Mps:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
         if any(max(t.shape[0], t.shape[2]) > self.chi_max for t in tensors):
             raise ValueError("bond dimension exceeds chi_max")
-        if self.mode is EncodingMode.DIRECT_POSITIVE and any(np.any(t < 0) for t in tensors):
+        if self.mode is EncodingMode.DIRECT_POSITIVE and (entries < 0).any():
             raise ValueError("direct-positive mode requires nonnegative entries")
         for t in tensors:
             t.flags.writeable = False
@@ -132,14 +136,14 @@ def _bits_2d(x, n_sites: int) -> tuple[np.ndarray, bool]:
     return bits, single
 
 
-def _left_step(v: np.ndarray, t: np.ndarray, bit: np.ndarray) -> np.ndarray:
-    """Advance left vectors (B, chi_l) through site ``t`` at bits (B,): (B, chi_r)."""
-    return np.where(bit[:, None] == 1, v @ t[:, 1, :], v @ t[:, 0, :])
+def _left_step(v: np.ndarray, t: np.ndarray, is_one: np.ndarray) -> np.ndarray:
+    """Advance left vectors (B, chi_l) through site ``t``; ``is_one`` (B, 1) marks bit 1: (B, chi_r)."""
+    return np.where(is_one, v @ t[:, 1, :], v @ t[:, 0, :])
 
 
-def _right_step(t: np.ndarray, bit: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Advance right vectors (B, chi_r) through site ``t`` at bits (B,): (B, chi_l)."""
-    return np.where(bit[:, None] == 1, v @ t[:, 1, :].T, v @ t[:, 0, :].T)
+def _right_step(t: np.ndarray, is_one: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Advance right vectors (B, chi_r) through site ``t``; ``is_one`` (B, 1) marks bit 1: (B, chi_l)."""
+    return np.where(is_one, v @ t[:, 1, :].T, v @ t[:, 0, :].T)
 
 
 def _gram_left(env: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -195,18 +199,20 @@ def _log_values(m: Mps, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the value is exactly zero.
     """
     n = bits.shape[0]
+    is_one = (bits.T == 1)[:, :, None]
     vec = np.ones((n, 1))
     logabs = np.zeros(n)
     sign = np.ones(n)
     for i, t in enumerate(m.tensors):
-        vec = _left_step(vec, t, bits[:, i])
+        vec = _left_step(vec, t, is_one[i])
         scale = np.abs(vec).max(axis=1)
-        dead = scale == 0.0
-        sign[dead] = 0.0
-        safe = np.where(dead, 1.0, scale)
-        vec /= safe[:, None]
-        with np.errstate(divide="ignore"):
-            logabs += np.where(dead, -np.inf, np.log(safe))
+        if not scale.all():  # rare: rows of value zero are marked and divided by 1
+            dead = scale == 0.0
+            sign[dead] = 0.0
+            logabs[dead] = -np.inf
+            scale[dead] = 1.0
+        vec /= scale[:, None]
+        logabs += np.log(scale)
     final = vec[:, 0]
     sign *= np.sign(final)
     with np.errstate(divide="ignore"):
@@ -298,13 +304,13 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
                 weights[:, s] = ((w[s] @ envs[i + 1]) * w[s]).sum(axis=1)
             np.maximum(weights, 0.0, out=weights)
             total = weights.sum(axis=1)
-            if np.any(total <= 0.0):
+            if (total <= 0.0).any():
                 raise DegenerateModelError("zero conditional marginal while sampling")
-            drawn = (rng.random(batch) < weights[:, 1] / total).astype(np.int8)
+            drawn = rng.random(batch) < weights[:, 1] / total
             bits[:, i] = drawn
-            v = np.where(drawn[:, None] == 1, w[1], w[0])
+            v = np.where(drawn[:, None], w[1], w[0])
             scale = np.abs(v).max(axis=1)
-            if np.any(scale == 0.0):
+            if (scale == 0.0).any():
                 raise DegenerateModelError("zero left environment while sampling")
             v /= scale[:, None]
     else:
@@ -313,13 +319,13 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
             weights = left @ (t @ envs[i + 1])  # (B, 2)
             np.maximum(weights, 0.0, out=weights)
             total = weights.sum(axis=1)
-            if np.any(total <= 0.0):
+            if (total <= 0.0).any():
                 raise DegenerateModelError("zero conditional marginal while sampling")
-            drawn = (rng.random(batch) < weights[:, 1] / total).astype(np.int8)
+            drawn = rng.random(batch) < weights[:, 1] / total
             bits[:, i] = drawn
-            left = _left_step(left, t, drawn)
+            left = _left_step(left, t, drawn[:, None])
             scale = np.abs(left).max(axis=1)
-            if np.any(scale == 0.0):
+            if (scale == 0.0).any():
                 raise DegenerateModelError("zero left environment while sampling")
             left /= scale[:, None]
 

@@ -175,18 +175,21 @@ def _benchmark_solver_runs(problem, optimum, n_runs=50):
     return hits
 
 
+@pytest.mark.slow
 def test_c05_solver_smoke_onemax():
     """TN Solver 1 reaches the OneMax N=20 optimum in >= 80% of 50 runs."""
     problem = OneMax(20)
     assert _benchmark_solver_runs(problem, problem.optimum) >= 40
 
 
+@pytest.mark.slow
 def test_c05_solver_smoke_knapsack():
     """TN Solver 1 reaches the DP optimum of a random N=30 knapsack in >= 80%."""
     problem = random_knapsack(30, seed=2024)
     assert _benchmark_solver_runs(problem, knapsack_optimum_dp(problem)) >= 40
 
 
+@pytest.mark.slow
 def test_c06_mutation_benefit_portfolio():
     """Bit-flip mutation helps on the synthetic portfolio and raises KL.
 

@@ -5,8 +5,9 @@ reorders floating-point arithmetic, so values must agree to about 1e-12
 relative, and samplers fed the same generator must draw the same bits.
 The Born trainer fits one weighted row per distinct string; the oracle
 keeps one row per copy, so agreement on data with repeated rows checks the
-weighting. A last test makes ``numpy.einsum`` raise to keep it off the hot
-path.
+weighting. Property tests check that the trainers stay finite or fail with
+:class:`DegenerateModelError`. A last test makes ``numpy.einsum`` raise to
+keep it off the hot path.
 """
 
 import numpy as np
@@ -220,11 +221,64 @@ class TestTraining:
     def test_positive_sweep(self, chi):
         bits = random_bits(80, 10, seed=chi)
         init = random_init(10, chi, EncodingMode.DIRECT_POSITIVE, seed=chi)
-        cfg = TrainConfig(learning_rate=0.15, chi_max=chi, fresh_init=False)
-        m = train_positive_mps(bits, cfg, init)
-        ref = oracle.train_positive_mps(bits, cfg, init)
-        for t, r in zip(m.tensors, ref.tensors):
-            assert_rel_close(t, r)
+        for learning_rate in (0.0, 0.15, 1.0):
+            for sweeps in (1, 2):
+                cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps, fresh_init=False)
+                try:
+                    ref = oracle.train_positive_mps(bits, cfg, init)
+                except DegenerateModelError as err:
+                    # A product state (chi 1) cannot hold 80 random rows; at rate 1
+                    # a clamp zeroes one of them, and both must say so.
+                    with pytest.raises(DegenerateModelError) as got:
+                        train_positive_mps(bits, cfg, init)
+                    assert str(got.value) == str(err)
+                    continue
+                m = train_positive_mps(bits, cfg, init)
+                for t, r in zip(m.tensors, ref.tensors):
+                    assert_rel_close(t, r)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n_sites=st.integers(2, 10),
+        chi=st.integers(1, 4),
+        learning_rate=st.floats(0.0, 1.0),
+        sweeps=st.integers(1, 2),
+        n_rows=st.integers(1, 60),
+        density=st.floats(0.0, 1.0),
+        copies=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_positive_fit_finite_or_typed_failure(
+        self, n_sites, chi, learning_rate, sweeps, n_rows, density, copies, seed
+    ):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((n_rows, n_sites)) < density
+        if copies:  # ten copies of one row: the TN3 late-run case
+            bits = np.repeat(bits[:1], 10, axis=0)
+        init = random_init(n_sites, chi, EncodingMode.DIRECT_POSITIVE, seed=seed)
+        cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps, fresh_init=False)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = train_positive_mps(bits, cfg, init)
+        except DegenerateModelError:
+            return
+        assert m.mode is EncodingMode.DIRECT_POSITIVE
+        assert m.bond_dims == init.bond_dims
+        assert all(np.all(np.isfinite(t)) and np.all(t >= 0) for t in m.tensors)
+
+    def test_positive_step_overflow_names_the_pair(self):
+        # Rate 1 on 53 sparse rows overflows the tensors of pair 0 in the
+        # second sweep; the final model check used to report it as a plain
+        # ValueError ("site 0: non-finite entries"), an input error.
+        r = np.random.default_rng(74)
+        n_sites, n_rows, chi = (int(r.integers(lo, hi)) for lo, hi in ((2, 35), (1, 60), (1, 5)))
+        assert (n_sites, n_rows, chi) == (8, 53, 2)
+        bits = r.random((n_rows, n_sites)) < r.random()
+        init = random_init(n_sites, chi, EncodingMode.DIRECT_POSITIVE, 74)
+        cfg = TrainConfig(1.0, chi, sweeps=2, fresh_init=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateModelError, match=r"^pair 0: site tensor is non-finite after a gradient step$"):
+                train_positive_mps(bits, cfg, init)
 
 
 class TestNoEinsum:

@@ -102,6 +102,20 @@ class TestMpsInvariants:
         with pytest.raises(ValueError):
             Mps((t,), EncodingMode.DIRECT_POSITIVE, 1)
 
+    @pytest.mark.parametrize("mode", list(EncodingMode))
+    def test_names_first_non_finite_site(self, mode):
+        tensors = [np.ones((1, 2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 1))]
+        tensors[1][1, 0, 1] = np.nan
+        tensors[3][0, 1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^site 1: non-finite entries$"):
+            Mps(tuple(tensors), mode, 2)
+        tensors[1][1, 0, 1] = -np.inf
+        with pytest.raises(ValueError, match=r"^site 1: non-finite entries$"):
+            Mps(tuple(tensors), mode, 2)
+        tensors[1][1, 0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"^site 3: non-finite entries$"):
+            Mps(tuple(tensors), mode, 2)
+
     def test_rejects_chi_above_cap(self):
         t0 = np.ones((1, 2, 3))
         t1 = np.ones((3, 2, 1))
