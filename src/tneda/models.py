@@ -106,15 +106,16 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """sum_b lx[b] (x) weighted[b] scattered to the pair's bits, (chi_l, 2, 2, chi_r).
+    """sum_b lx[:, b] (x) weighted[:, b] scattered to the pair's bits, (chi_l, 2, 2, chi_r).
 
-    ``onehot`` (n, 4, 1) is ``code[:, None, None] == np.arange(4)[:, None]``
-    for the pair codes ``2 * x_i + x_{i+1}``; row b contributes only to the
+    ``lx`` is (chi_l, n) and ``weighted`` (chi_r, n), one string per column.
+    ``onehot`` (4, 1, n) is ``code == np.arange(4)[:, None, None]`` for the
+    pair codes ``2 * x_i + x_{i+1}``; string b contributes only to the
     block ``[:, x_i, x_{i+1}, :]`` its bits select.
     """
-    n, chi_r = weighted.shape
-    scattered = np.where(onehot, weighted[:, None, :], 0.0).reshape(n, 4 * chi_r)
-    return (lx.T @ scattered).reshape(lx.shape[1], 2, 2, chi_r)
+    chi_r, n = weighted.shape
+    scattered = np.where(onehot, weighted, 0.0).reshape(4 * chi_r, n)
+    return (lx @ scattered.T).reshape(lx.shape[0], 2, 2, chi_r)
 
 
 def pair_nll_gradient(
@@ -136,8 +137,8 @@ def pair_nll_gradient(
 
     Args:
         theta: merged two-site tensor (chi_l, 2, 2, chi_r).
-        lx, rx: per-sample left/right environments, shapes (n, chi_l) and
-            (n, chi_r).
+        lx, rx: per-string left/right environments, one string per column,
+            shapes (chi_l, n) and (chi_r, n).
         xi, xj: the pair's bit columns, length n.
         la, rb: bond Gram matrices of the rest of the chain; ``None`` means
             identity (mixed-canonical gauge), in which case Z = ||theta||^2.
@@ -148,13 +149,13 @@ def pair_nll_gradient(
         hidden scale factors (always true for the canonical training path
         and for :func:`born_pair_gradient`).
     """
-    n = lx.shape[0]
+    n = lx.shape[1]
     if w is None:
         w = np.full(n, 1.0 / n)
     chi_l, _, _, chi_r = theta.shape
     code = 2 * xi + xj
-    per_bits = (lx @ theta.reshape(chi_l, 4 * chi_r)).reshape(n, 4, chi_r)
-    amps = (per_bits[np.arange(n), code] * rx).sum(axis=1)
+    per_bits = (theta.reshape(chi_l, 4 * chi_r).T @ lx).reshape(4, chi_r, n)
+    amps = (per_bits * rx).sum(axis=1)[code, np.arange(n)]
     safe = np.where(np.abs(amps) < _AMP_FLOOR, _AMP_FLOOR, amps)
 
     if la is None:
@@ -167,11 +168,10 @@ def pair_nll_gradient(
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    onehot = code[:, None, None] == np.arange(4)[:, None]
-    grad_data = _pair_data_gradient(lx, rx * (w / safe)[:, None], onehot)
+    onehot = code == np.arange(4)[:, None, None]
+    grad_data = _pair_data_gradient(lx, rx * (w / safe), onehot)
 
-    with np.errstate(divide="ignore"):
-        nll = -2.0 * float(w @ np.log(np.abs(safe))) + math.log(z)
+    nll = -2.0 * float(w @ np.log(np.abs(safe))) + math.log(z)
     grad = -2.0 * grad_data + grad_z
     return nll, grad
 
@@ -188,16 +188,17 @@ def born_pair_environments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact environments (lx, rx, la, rb) around pair (i, i+1), any gauge.
 
-    Unscaled; intended for small chains (gradient checks, diagnostics).
+    Unscaled, for small chains: lx (chi_l, n) and rx (chi_r, n) hold one
+    string per column; la and rb are the (chi, chi) bond Gram matrices.
     """
     bits = _as_data(data)
     n = bits.shape[0]
-    is_one = (bits.T == 1)[:, :, None]
-    lx, la = np.ones((n, 1)), np.ones((1, 1))
+    is_one = (bits.T == 1)[:, None, :]
+    lx, la = np.ones((1, n)), np.ones((1, 1))
     for j in range(i):
         lx = _left_step(lx, m.tensors[j], is_one[j])
         la = _gram_left(la, m.tensors[j])
-    rx, rb = np.ones((n, 1)), np.ones((1, 1))
+    rx, rb = np.ones((1, n)), np.ones((1, 1))
     for j in range(m.n_sites - 1, i + 1, -1):
         rx = _right_step(m.tensors[j], is_one[j], rx)
         rb = _gram_right(m.tensors[j], rb)
@@ -267,7 +268,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     bits, w = bits[first], counts / n
     n = bits.shape[0]
-    is_one = (bits.T == 1)[:, :, None]
+    is_one = (bits.T == 1)[:, None, :]
     if cfg.fresh_init or init is None:
         start = random_init(width, cfg.chi_max, EncodingMode.AMPLITUDE, rng)
     else:
@@ -280,10 +281,10 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
 
     for _ in range(cfg.sweeps):
         # right environments over sites j.. for the current tensors
-        rx = [None] * width + [np.ones((n, 1))]
+        rx = [None] * width + [np.ones((1, n))]
         for j in range(width - 1, 1, -1):
             rx[j] = _right_step(tensors[j], is_one[j], rx[j + 1])
-        lx = [np.ones((n, 1))] + [None] * (width - 1)
+        lx = [np.ones((1, n))] + [None] * (width - 1)
 
         for i, absorb, moving in _sweep_pair_schedule(width):
             theta = _merge(tensors[i], tensors[i + 1])
@@ -306,12 +307,12 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     return Mps(tuple(tensors), EncodingMode.AMPLITUDE, cfg.chi_max)
 
 
-# The environments of a direct-positive chain are nonnegative: the largest entry is the scale.
-def _normalize_rows(a: np.ndarray) -> np.ndarray:
-    scale = a.max(axis=1)
+# Direct-positive environments are nonnegative: a column's largest entry is its string's scale.
+def _normalize_columns(a: np.ndarray) -> np.ndarray:
+    scale = a.max(axis=0)
     if not scale.all():
         raise DegenerateModelError("a training sample has zero value under the model")
-    return a / scale[:, None]
+    return a / scale
 
 
 def _normalize_vec(v: np.ndarray) -> np.ndarray:
@@ -350,28 +351,28 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
         raise ValueError("two-site training needs at least 2 sites")
     tensors = [t.copy() for t in init.tensors]
     sums = [t.sum(axis=1) for t in tensors]
-    is_one = (bits.T == 1)[:, :, None]
-    onehots = (2 * bits[:, :-1] + bits[:, 1:]).T[:, :, None, None] == np.arange(4)[:, None]
+    is_one = (bits.T == 1)[:, None, :]
+    onehots = (2 * bits[:, :-1] + bits[:, 1:]).T[:, None, None, :] == np.arange(4)[:, None, None]
     lr = cfg.learning_rate
 
     for _ in range(cfg.sweeps):
-        rx, rsum = [None] * width + [np.ones((n, 1))], [None] * width + [np.ones(1)]
+        rx, rsum = [None] * width + [np.ones((1, n))], [None] * width + [np.ones(1)]
         for j in range(width - 1, 1, -1):
-            rx[j] = _normalize_rows(_right_step(tensors[j], is_one[j], rx[j + 1]))
+            rx[j] = _normalize_columns(_right_step(tensors[j], is_one[j], rx[j + 1]))
             rsum[j] = _normalize_vec(sums[j] @ rsum[j + 1])
-        lx, lsum = [np.ones((n, 1))] + [None] * (width - 1), [np.ones(1)] + [None] * (width - 1)
+        lx, lsum = [np.ones((1, n))] + [None] * (width - 1), [np.ones(1)] + [None] * (width - 1)
 
         for i, _, moving in _sweep_pair_schedule(width):
             ti, tj = tensors[i], tensors[i + 1]
             mid = _left_step(lx[i], ti, is_one[i])
-            amps = (_left_step(mid, tj, is_one[i + 1]) * rx[i + 2]).sum(axis=1)
+            amps = (_left_step(mid, tj, is_one[i + 1]) * rx[i + 2]).sum(axis=0)
             safe = np.maximum(amps, _AMP_FLOOR)
 
             z = float(lsum[i] @ sums[i] @ sums[i + 1] @ rsum[i + 2])
             if z <= 0.0:
                 raise DegenerateModelError("normalization vanished during training")
 
-            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / safe[:, None], onehots[i])
+            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / safe, onehots[i])
             grad_theta /= n
             grad_theta -= lsum[i][:, None, None, None] * rsum[i + 2] / z
 
@@ -387,10 +388,10 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             sums[i], sums[i + 1] = tensors[i].sum(axis=1), tensors[i + 1].sum(axis=1)
 
             if moving == "right":
-                lx[i + 1] = _normalize_rows(_left_step(lx[i], tensors[i], is_one[i]))
+                lx[i + 1] = _normalize_columns(_left_step(lx[i], tensors[i], is_one[i]))
                 lsum[i + 1] = _normalize_vec(lsum[i] @ sums[i])
             else:
-                rx[i + 1] = _normalize_rows(_right_step(tensors[i + 1], is_one[i + 1], rx[i + 2]))
+                rx[i + 1] = _normalize_columns(_right_step(tensors[i + 1], is_one[i + 1], rx[i + 2]))
                 rsum[i + 1] = _normalize_vec(sums[i + 1] @ rsum[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.DIRECT_POSITIVE, init.chi_max)

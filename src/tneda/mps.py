@@ -11,14 +11,14 @@ so partition functions and per-string probabilities stay finite in log
 space at any chain length.
 
 Every per-string contraction goes through two fixed matmul steps. A bit
-selects the transfer matrix ``T[:, bit, :]`` of its site, so a batch of
-left vectors ``v`` of shape (B, chi_l) advances as ``v @ T[:, 0, :]`` or
-``v @ T[:, 1, :]`` row by row (:func:`_left_step`), and right vectors
-advance through the transposes (:func:`_right_step`). A step takes its
-bits as a (B, 1) mask "bit is 1"; callers build the masks of all sites
-once per call, ``(bits.T == 1)[:, :, None]``. Born-rule sampling carries
-one amplitude vector ``v`` per sample, not the matrix ``v v^T``, so a site
-costs O(chi^2) per sample.
+selects the transfer matrix ``T[:, bit, :]`` of its site. A batch is
+carried batch-last: left vectors ``v`` (chi_l, B), one string per column,
+advance as ``T[:, 0, :].T @ v`` or ``T[:, 1, :].T @ v`` (:func:`_left_step`),
+right vectors through the untransposed matrices (:func:`_right_step`), and
+a per-string rescale is an elementwise reduction over chi rows. A step
+takes its bits as a (1, B) mask "bit is 1", built for all sites once per
+call as ``(bits.T == 1)[:, None, :]``. Born-rule sampling carries one
+amplitude vector per sample, not ``v v^T``: O(chi^2) per sample and site.
 """
 
 from __future__ import annotations
@@ -137,13 +137,13 @@ def _bits_2d(x, n_sites: int) -> tuple[np.ndarray, bool]:
 
 
 def _left_step(v: np.ndarray, t: np.ndarray, is_one: np.ndarray) -> np.ndarray:
-    """Advance left vectors (B, chi_l) through site ``t``; ``is_one`` (B, 1) marks bit 1: (B, chi_r)."""
-    return np.where(is_one, v @ t[:, 1, :], v @ t[:, 0, :])
+    """Advance left vectors (chi_l, B) through site ``t``; ``is_one`` (1, B) marks bit 1: (chi_r, B)."""
+    return np.where(is_one, t[:, 1, :].T @ v, t[:, 0, :].T @ v)
 
 
 def _right_step(t: np.ndarray, is_one: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Advance right vectors (B, chi_r) through site ``t``; ``is_one`` (B, 1) marks bit 1: (B, chi_l)."""
-    return np.where(is_one, v @ t[:, 1, :].T, v @ t[:, 0, :].T)
+    """Advance right vectors (chi_r, B) through site ``t``; ``is_one`` (1, B) marks bit 1: (chi_l, B)."""
+    return np.where(is_one, t[:, 1, :] @ v, t[:, 0, :] @ v)
 
 
 def _gram_left(env: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -199,24 +199,23 @@ def _log_values(m: Mps, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the value is exactly zero.
     """
     n = bits.shape[0]
-    is_one = (bits.T == 1)[:, :, None]
-    vec = np.ones((n, 1))
+    is_one = (bits.T == 1)[:, None, :]
+    vec = np.ones((1, n))
     logabs = np.zeros(n)
     sign = np.ones(n)
     for i, t in enumerate(m.tensors):
         vec = _left_step(vec, t, is_one[i])
-        scale = np.abs(vec).max(axis=1)
-        if not scale.all():  # rare: rows of value zero are marked and divided by 1
+        scale = np.abs(vec).max(axis=0)
+        if not scale.all():  # rare: strings of value zero are marked and divided by 1
             dead = scale == 0.0
             sign[dead] = 0.0
             logabs[dead] = -np.inf
             scale[dead] = 1.0
-        vec /= scale[:, None]
+        vec /= scale
         logabs += np.log(scale)
-    final = vec[:, 0]
+    final = vec[0]
     sign *= np.sign(final)
-    with np.errstate(divide="ignore"):
-        logabs += np.where(final == 0.0, -np.inf, np.log(np.abs(np.where(final == 0.0, 1.0, final))))
+    logabs += np.where(final == 0.0, -np.inf, np.log(np.abs(np.where(final == 0.0, 1.0, final))))
     return logabs, sign
 
 
@@ -295,39 +294,39 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
     bits = np.empty((batch, n), dtype=np.int8)
 
     if m.mode is EncodingMode.AMPLITUDE:
-        v = np.ones((batch, 1))
-        weights = np.empty((batch, 2))
+        v = np.ones((1, batch))
+        weights = np.empty((2, batch))
         for i, t in enumerate(m.tensors):
-            # p(s | prefix) is proportional to w_s env w_s with w_s = v T[:, s, :]
-            w = [v @ t[:, 0, :], v @ t[:, 1, :]]
+            # p(s | prefix) is proportional to w_s env w_s with w_s = T[:, s, :]^T v
+            w = [t[:, 0, :].T @ v, t[:, 1, :].T @ v]
             for s in (0, 1):
-                weights[:, s] = ((w[s] @ envs[i + 1]) * w[s]).sum(axis=1)
+                weights[s] = ((envs[i + 1].T @ w[s]) * w[s]).sum(axis=0)
             np.maximum(weights, 0.0, out=weights)
-            total = weights.sum(axis=1)
+            total = weights[0] + weights[1]
             if (total <= 0.0).any():
                 raise DegenerateModelError("zero conditional marginal while sampling")
-            drawn = rng.random(batch) < weights[:, 1] / total
+            drawn = rng.random(batch) < weights[1] / total
             bits[:, i] = drawn
-            v = np.where(drawn[:, None], w[1], w[0])
-            scale = np.abs(v).max(axis=1)
+            v = np.where(drawn, w[1], w[0])
+            scale = np.abs(v).max(axis=0)
             if (scale == 0.0).any():
                 raise DegenerateModelError("zero left environment while sampling")
-            v /= scale[:, None]
+            v /= scale
     else:
-        left = np.ones((batch, 1))
+        left = np.ones((1, batch))
         for i, t in enumerate(m.tensors):
-            weights = left @ (t @ envs[i + 1])  # (B, 2)
+            weights = (t @ envs[i + 1]).T @ left  # (2, B)
             np.maximum(weights, 0.0, out=weights)
-            total = weights.sum(axis=1)
+            total = weights[0] + weights[1]
             if (total <= 0.0).any():
                 raise DegenerateModelError("zero conditional marginal while sampling")
-            drawn = rng.random(batch) < weights[:, 1] / total
+            drawn = rng.random(batch) < weights[1] / total
             bits[:, i] = drawn
-            left = _left_step(left, t, drawn[:, None])
-            scale = np.abs(left).max(axis=1)
+            left = _left_step(left, t, drawn)
+            scale = np.abs(left).max(axis=0)
             if (scale == 0.0).any():
                 raise DegenerateModelError("zero left environment while sampling")
-            left /= scale[:, None]
+            left /= scale
 
     return bits[0] if size is None else bits
 

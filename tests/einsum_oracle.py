@@ -5,13 +5,17 @@ moved to fixed matmul steps: the same algorithms, step for step, but each
 contraction spelled as an einsum over gathered ``(chi_l, B, chi_r)``
 selections. The kernel-agreement tests compare the library against them
 to about 1e-12 relative.
+
+Environments are kept one string per row, (B, chi), as the kernels were
+written then. The helpers below are the oracle's own copies, not imports
+from ``tneda.models``, so the reference does not move with the layout of
+the code under test.
 """
 
 import math
 
 import numpy as np
 
-from tneda.models import _AMP_FLOOR, _normalize_rows, _normalize_vec, _sweep_pair_schedule
 from tneda.mps import (
     DegenerateModelError,
     EncodingMode,
@@ -19,6 +23,31 @@ from tneda.mps import (
     canonicalize_split,
     random_init,
 )
+
+_AMP_FLOOR = 1e-290
+
+
+def _normalize_rows(a):
+    scale = a.max(axis=1)
+    if not scale.all():
+        raise DegenerateModelError("a training sample has zero value under the model")
+    return a / scale[:, None]
+
+
+def _normalize_vec(v):
+    scale = v.max()
+    if scale == 0.0:
+        raise DegenerateModelError("normalization vanished during training")
+    return v / scale
+
+
+def _sweep_pair_schedule(n_sites):
+    last = n_sites - 2
+    for i in range(last):
+        yield i, "right", "right"
+    yield last, "left", "left"
+    for i in range(last - 1, -1, -1):
+        yield i, "left", "left"
 
 
 def _select(t, bits_col):

@@ -1,0 +1,66 @@
+"""The benchmark's view of tneda: names it looks up must exist.
+
+``bench/tracing.py`` wraps tneda functions at the sites where callers look
+them up (``tneda.evolve.perfect_sample``, ``tneda.models.pair_nll_gradient``
+and so on), and the workload and check modules import tneda names. A
+rename in ``src/`` that misses one of them breaks the benchmark command,
+so these tests make it fail here first. Nothing under ``bench/`` is run
+beyond the tracer's install and uninstall.
+"""
+
+import ast
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tneda.diagnostics  # noqa: F401  (the tracer patches these modules in place)
+import tneda.evolve  # noqa: F401
+import tneda.experiment  # noqa: F401
+import tneda.models  # noqa: F401
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from tracing import SPANS, Tracer, _owner  # noqa: E402
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = {(path, attr): getattr(_owner(path), attr) for path, attr, _, _ in SPANS}
+    einsum = np.einsum
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for (path, attr), fn in originals.items():
+            assert getattr(_owner(path), attr) is not fn, f"{path}.{attr} was not wrapped"
+    finally:
+        tracer.uninstall()
+    for (path, attr), fn in originals.items():
+        assert getattr(_owner(path), attr) is fn, f"{path}.{attr} was not restored"
+    assert np.einsum is einsum
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "checks.py", "setup_probe.py"])
+def test_bench_imports_resolve(script):
+    tree = ast.parse((BENCH / script).read_text())
+    modules = {}  # local name -> tneda module imported under it
+    imported = [
+        (node.module, alias)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "tneda"
+        for alias in node.names
+    ]
+    assert imported, f"{script} imports nothing from tneda"
+    for module, alias in imported:
+        value = getattr(importlib.import_module(module), alias.name, None)
+        assert value is not None, f"{script}: {module}.{alias.name} is missing"
+        if isinstance(value, types.ModuleType):
+            modules[alias.asname or alias.name] = value
+    # attributes read off an imported tneda module, e.g. experiment.run_single
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            module = modules[node.value.id]
+            assert hasattr(module, node.attr), f"{script}: {module.__name__}.{node.attr} is missing"

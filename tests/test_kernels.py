@@ -3,6 +3,8 @@
 ``einsum_oracle`` keeps the earlier einsum-based contractions. The core
 reorders floating-point arithmetic, so values must agree to about 1e-12
 relative, and samplers fed the same generator must draw the same bits.
+The library carries environments one string per column, (chi, B); the
+oracle one per row, (B, chi), so environments cross as transposes.
 The Born trainer fits one weighted row per distinct string; the oracle
 keeps one row per copy, so agreement on data with repeated rows checks the
 weighting. Property tests check that the trainers stay finite or fail with
@@ -28,6 +30,7 @@ from tneda.models import (
 from tneda.mps import (
     DegenerateModelError,
     EncodingMode,
+    Mps,
     apply_diffusion,
     log_partition_function,
     log_probability,
@@ -93,6 +96,48 @@ class TestScoring:
         expected = oracle.perfect_sample(m, np.random.default_rng(chi), 400)
         np.testing.assert_array_equal(drawn, expected)
 
+    def test_batch_of_one(self, mode, chi):
+        m = random_init(9, chi, mode, seed=30 + chi)
+        x = random_bits(1, 9, seed=chi)[0]
+        got = log_probability(m, x)
+        assert isinstance(got, float)
+        assert_rel_close(got, oracle.log_probability(m, x[None])[0])
+        drawn = perfect_sample(m, np.random.default_rng(chi))
+        assert drawn.shape == (9,)
+        np.testing.assert_array_equal(drawn, oracle.perfect_sample(m, np.random.default_rng(chi), 1)[0])
+
+
+@pytest.mark.parametrize("chi", CHIS)
+@pytest.mark.parametrize("mode", list(EncodingMode))
+class TestZeroValuedStrings:
+    """A third of the entries zeroed at random, and the bit-1 slice of site 4.
+
+    Every string with bit 1 at site 4 dies there, so the per-string rescale
+    meets all-zero environments mid-chain; at small chi the random zeros
+    kill more strings.
+    """
+
+    @staticmethod
+    def zeroed(mode, chi):
+        m = random_init(9, chi, mode, seed=50 + chi)
+        rng = np.random.default_rng(chi)
+        tensors = [np.where(rng.random(t.shape) < 1 / 3, 0.0, t) for t in m.tensors]
+        tensors[4][:, 1, :] = 0.0
+        return Mps(tuple(tensors), mode, chi)
+
+    def test_log_probability(self, mode, chi):
+        m = self.zeroed(mode, chi)
+        bits = (np.arange(2**9)[:, None] >> np.arange(9)) & 1
+        expected = oracle.log_probability(m, bits)
+        assert np.isneginf(expected).any() and np.isfinite(expected).any()
+        assert_rel_close(log_probability(m, bits), expected)
+
+    def test_perfect_sample_same_bits(self, mode, chi):
+        m = self.zeroed(mode, chi)
+        drawn = perfect_sample(m, np.random.default_rng(chi), size=300)
+        np.testing.assert_array_equal(drawn, oracle.perfect_sample(m, np.random.default_rng(chi), 300))
+        assert np.isfinite(log_probability(m, drawn)).all()
+
 
 class TestDiffusedNetwork:
     def test_tensors(self, diffused):
@@ -123,7 +168,7 @@ class TestTraining:
         theta = rng.normal(size=(chi, 2, 2, chi + 1))
         lx, rx = rng.normal(size=(50, chi)), rng.normal(size=(50, chi + 1))
         xi, xj = rng.integers(0, 2, 50), rng.integers(0, 2, 50)
-        nll, grad = pair_nll_gradient(theta, lx, rx, xi, xj)
+        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, xi, xj)
         ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx, rx, xi, xj)
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
@@ -133,11 +178,12 @@ class TestTraining:
         m = random_init(8, chi, EncodingMode.AMPLITUDE, seed=chi)
         bits = random_bits(60, 8, seed=chi)
         envs = born_pair_environments(m, 3, bits)
-        for got, ref in zip(envs, oracle.born_pair_environments(m, 3, bits)):
+        refs = oracle.born_pair_environments(m, 3, bits)
+        for got, ref in zip(envs, (refs[0].T, refs[1].T, *refs[2:])):
             assert_rel_close(got, ref)
         theta = merge_pair(m, 3)
         nll, grad = pair_nll_gradient(theta, *envs[:2], bits[:, 3], bits[:, 4], *envs[2:])
-        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, *envs[:2], bits[:, 3], bits[:, 4], *envs[2:])
+        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, *refs[:2], bits[:, 3], bits[:, 4], *refs[2:])
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
 
@@ -164,7 +210,7 @@ class TestTraining:
         lx, rx = rng.normal(size=(40, chi)), rng.normal(size=(40, chi + 1))
         xi, xj = rng.integers(0, 2, 40), rng.integers(0, 2, 40)
         b = repeated_index(40, seed=chi)
-        nll, grad = pair_nll_gradient(theta, lx, rx, xi, xj, w=np.bincount(b) / len(b))
+        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, xi, xj, w=np.bincount(b) / len(b))
         ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx[b], rx[b], xi[b], xj[b])
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
