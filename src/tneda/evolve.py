@@ -142,20 +142,10 @@ class SolutionBank:
         index = self._index
         return [key for key in dict.fromkeys(keys) if key not in index][: max(limit, 0)]
 
-    def _insert(self, keys: list[bytes], rows: np.ndarray, values, generation: int) -> int:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.shape[0] != rows.shape[0]:
-            raise ValueError("need one value per row")
-        index = self._index
-        first: dict[bytes, int] = {}  # unbanked key -> its first row, in row order
-        keep = [i for i, key in enumerate(keys) if key not in index and first.setdefault(key, i) == i]
-        m = len(keep)
-        if m == 0:
-            return 0
-        start = self._n
-        index.update(zip(first, range(start, start + m)))
-        if m < rows.shape[0]:
-            rows, values = rows[keep], values[keep]
+    def _append(self, keys: list[bytes], rows: np.ndarray, values: np.ndarray, generation: int) -> None:
+        """Bank rows whose keys are distinct and not yet banked, in order."""
+        start, m = self._n, len(keys)
+        self._index.update(zip(keys, range(start, start + m)))
         if start + m > self._strings.shape[0]:
             self._grow(start + m)
         self._strings[start : start + m] = rows
@@ -163,7 +153,13 @@ class SolutionBank:
         self._generations[start : start + m] = generation
         self._n = start + m
         self._update_best(start, values)
-        return m
+
+    @staticmethod
+    def _values_for(rows: np.ndarray, values) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.shape[0] != rows.shape[0]:
+            raise ValueError("need one value per row")
+        return values
 
     def lookup_many(self, rows) -> np.ndarray:
         """Bank position of each row, -1 where the row is absent."""
@@ -180,14 +176,24 @@ class SolutionBank:
         its first occurrence. Returns the number of rows inserted.
         """
         rows = self._rows(rows)
-        return self._insert(self._keys(rows), rows, values, generation)
+        values = self._values_for(rows, values)
+        index = self._index
+        first: dict[bytes, int] = {}  # unbanked key -> its first row, in row order
+        keys = self._keys(rows)
+        keep = [i for i, key in enumerate(keys) if key not in index and first.setdefault(key, i) == i]
+        if len(keep) < rows.shape[0]:
+            rows, values = rows[keep], values[keep]
+        if keep:
+            self._append(list(first), rows, values, generation)
+        return len(keep)
 
     def evaluate_unseen(self, rows, objective, limit: int, generation: int) -> tuple[np.ndarray, int]:
         """Bank ``objective`` on the unseen rows, then return every row's value.
 
         ``unseen(rows, limit)`` goes to one ``objective`` call and is banked
         in row order, as by ``insert_many``. The batch's keys are built once
-        and serve all three steps.
+        and serve all three steps; the fresh keys are distinct and unbanked
+        by construction, so they are appended without ``insert_many``'s filter.
 
         Returns (per-row values with NaN where a row is not banked, number
         of rows evaluated).
@@ -197,7 +203,7 @@ class SolutionBank:
         fresh_keys = self._unseen(keys, limit)
         if fresh_keys:
             fresh = self._from_keys(fresh_keys)
-            self._insert(fresh_keys, fresh, objective(fresh), generation)
+            self._append(fresh_keys, fresh, self._values_for(fresh, objective(fresh)), generation)
         positions = self._lookup(keys)
         known = positions >= 0
         values = np.full(rows.shape[0], np.nan)

@@ -449,12 +449,13 @@ def fit_chain_bayes(data, smoothing: float = 1.0) -> ChainBayes:
     p_first /= n + 2.0 * smoothing
 
     cond = np.empty((width - 1, 2, 2))
-    prev = bits[:, :-1]
-    nxt = bits[:, 1:]
-    for b in (0, 1):
-        base = prev == b
-        n_b = base.sum(axis=0).astype(np.float64)
-        n_b1 = (base & (nxt == 1)).sum(axis=0).astype(np.float64)
+    on = bits == 1  # bool: reductions over it beat those over the int64 rows
+    ones = np.count_nonzero(on, axis=0).astype(np.float64)
+    n_11 = np.count_nonzero(on[:, :-1] & on[:, 1:], axis=0).astype(np.float64)  # x_i = x_{i+1} = 1
+    ones_prev, ones_next = ones[:-1], ones[1:]
+    # (count of x_i = b, count of x_i = b and x_{i+1} = 1), for b = 0 and 1; exact integers
+    counts = ((n - ones_prev, ones_next - n_11), (ones_prev, n_11))
+    for b, (n_b, n_b1) in enumerate(counts):
         denom = n_b + 2.0 * smoothing
         with np.errstate(invalid="ignore", divide="ignore"):
             p1 = np.where(denom > 0, (n_b1 + smoothing) / denom, 0.5)
@@ -469,12 +470,13 @@ def sample_chain_bayes(b: ChainBayes, rng, size: int | None = None) -> np.ndarra
     batch = 1 if size is None else int(size)
     if batch < 1:
         raise ValueError("size must be >= 1")
-    width = b.n_sites
-    bits = np.empty((batch, width), dtype=np.int8)
-    bits[:, 0] = rng.random(batch) < b.p_first[1]
-    for i in range(width - 1):
-        p1 = b.conditionals[i, 1, bits[:, i]]
-        bits[:, i + 1] = rng.random(batch) < p1
+    # one draw in site-major order is the same stream as one draw per site
+    u = rng.random((b.n_sites, batch))
+    bits_t = np.empty((b.n_sites, batch), dtype=np.int8)
+    np.less(u[0], b.p_first[1], out=bits_t[0])
+    for i, p1_given in enumerate(b.conditionals[:, 1, :]):
+        np.less(u[i + 1], p1_given[bits_t[i]], out=bits_t[i + 1])
+    bits = np.ascontiguousarray(bits_t.T)
     return bits[0] if size is None else bits
 
 

@@ -149,9 +149,13 @@ class KnapsackProblem(Problem):
 class MaxSatProblem(Problem):
     """Count of unsatisfied CNF clauses (0 means satisfied).
 
-    Clauses are stored padded to equal width by repeating a literal, which
-    leaves clause truth unchanged. ``is_three_sat`` reports whether every
-    clause had exactly three literals.
+    Clauses are padded to equal width w by repeating a literal, which
+    leaves clause truth unchanged, and stored literal-major: slot k of all
+    m clauses is one row of a (w, m) variable table and of a (w, m, 1)
+    int8 table of the values those literals want. ``evaluate_batch`` takes
+    whole rows of the transposed batch per slot, so its gathers and
+    compares run over contiguous memory. ``is_three_sat`` reports whether
+    every clause had exactly three literals.
     """
 
     def __init__(self, n_vars: int, clauses):
@@ -171,17 +175,28 @@ class MaxSatProblem(Problem):
         self.n_bits = n_vars
         self.clauses = clause_list
         self.is_three_sat = all(len(c) == 3 for c in clause_list)
-        self._vars = np.abs(padded) - 1
-        self._wants_true = padded > 0
+        self._vars = np.ascontiguousarray(np.abs(padded).T - 1)  # (w, m)
+        self._wants = (padded.T > 0).astype(np.int8)[:, :, None]  # (w, m, 1)
 
     @property
     def n_clauses(self) -> int:
         return len(self.clauses)
 
     def evaluate_batch(self, x):
-        x = self._check(x)
-        hit = x[:, self._vars] == self._wants_true  # (B, m, w)
-        return (~hit.any(axis=2)).sum(axis=1).astype(np.float64)
+        xt = np.ascontiguousarray(self._check(x).T)  # (N, B), one variable per row
+        if xt.dtype != np.int8:
+            # 0 and 1 keep their value; anything else becomes 2, which no literal wants
+            xt = np.where(xt == 1, np.int8(1), np.where(xt == 0, np.int8(0), np.int8(2)))
+        rows = np.empty((self._vars.shape[1], xt.shape[1]), dtype=np.int8)  # (m, B)
+        lit_false = rows.view(np.bool_)
+        # mode="clip": the indices are valid, and take buffers ``out`` under mode="raise"
+        np.take(xt, self._vars[0], axis=0, out=rows, mode="clip")
+        unsat = rows != self._wants[0]  # every literal so far is false
+        for vars_k, wants_k in zip(self._vars[1:], self._wants[1:]):
+            np.take(xt, vars_k, axis=0, out=rows, mode="clip")
+            np.not_equal(rows, wants_k, out=lit_false)
+            unsat &= lit_false
+        return np.count_nonzero(unsat, axis=0).astype(np.float64)
 
 
 # --- instance text formats ------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tneda.problems import (
     DeceptiveTrap,
@@ -27,6 +29,40 @@ from tneda.problems import (
 
 def all_bitstrings(n):
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8)
+
+
+def count_unsatisfied(row, clauses) -> int:
+    """Per-clause reference: a literal l holds when bit |l| is 1 for l > 0, 0 for l < 0."""
+    unsat = 0
+    for clause in clauses:
+        ok = False
+        for lit in clause:
+            truth = bool(row[abs(lit) - 1])
+            if (lit > 0) == truth:
+                ok = True
+                break
+        unsat += 0 if ok else 1
+    return unsat
+
+
+@st.composite
+def cnf_batches(draw):
+    """A CNF with clause widths 1-5 (repeated and complementary literals
+    allowed) and a 0-5 row batch in one of several dtypes and layouts."""
+    n_vars = draw(st.integers(1, 8))
+    literal = st.integers(1, n_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5), min_size=1, max_size=12))
+    n_rows = draw(st.integers(0, 5))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n_rows * n_vars, max_size=n_rows * n_vars)))
+    x = bits.reshape(n_rows, n_vars).astype(draw(st.sampled_from([np.int8, np.int64, np.bool_])))
+    layout = draw(st.sampled_from(["contiguous", "column slice", "transpose"]))
+    if layout == "column slice":
+        wide = np.zeros((n_rows, 2 * n_vars + 1), dtype=x.dtype)
+        wide[:, 1::2] = x
+        x = wide[:, 1::2]
+    elif layout == "transpose":
+        x = np.ascontiguousarray(x.T).T
+    return n_vars, clauses, x
 
 
 class TestPortfolio:
@@ -148,19 +184,27 @@ class TestMaxSat:
         ]
         p = MaxSatProblem(20, clauses)
         assignments = rng.integers(0, 2, size=(1000, 20))
-        expected = []
-        for row in assignments:
-            unsat = 0
-            for clause in clauses:
-                ok = False
-                for lit in clause:
-                    truth = bool(row[abs(lit) - 1])
-                    if (lit > 0) == truth:
-                        ok = True
-                        break
-                unsat += 0 if ok else 1
-            expected.append(unsat)
+        expected = [count_unsatisfied(row, clauses) for row in assignments]
         np.testing.assert_array_equal(p.evaluate_batch(assignments), np.array(expected, dtype=float))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(cnf_batches())
+    def test_matches_checker_on_any_widths_dtypes_and_layouts(self, case):
+        n_vars, clauses, x = case
+        got = MaxSatProblem(n_vars, clauses).evaluate_batch(x)
+        assert got.dtype == np.float64 and got.shape == (x.shape[0],)
+        np.testing.assert_array_equal(got, [count_unsatisfied(row, clauses) for row in x])
+
+    def test_brute_force_optimum_on_mixed_widths(self):
+        rng = np.random.default_rng(1414)
+        clauses = []
+        for _ in range(70):
+            width = int(rng.integers(1, 6))
+            literals = rng.integers(1, 15, size=width) * rng.choice([-1, 1], size=width)
+            clauses.append(tuple(int(l) for l in literals))
+        bits, value = brute_force_optimum(MaxSatProblem(14, clauses))
+        assert "".join(map(str, bits)) == "10000111101001"
+        assert value == 2.0
 
     def test_flip_changes_count_by_at_most_occurrences(self):
         rng = np.random.default_rng(11)
