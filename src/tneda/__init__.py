@@ -4,109 +4,34 @@ MPS generative models (Born machine and direct positive), a chain Bayesian
 network and genetic-algorithm baselines, the selection/mutation machinery
 around them, exact KL diagnostics including the bit-flip diffusion
 construction, and a config-driven benchmark harness.
+
+The package namespace holds what the README's quick tour and the demos
+use; everything else is imported from its submodule (``tneda.mps``,
+``tneda.models``, ``tneda.evolve``, ``tneda.diagnostics``,
+``tneda.experiment``, ``tneda.problems``, ``tneda.ordering``).
 """
 
-from .diagnostics import (
-    KlReport,
-    ReferenceRunResult,
-    boltzmann_target,
-    diffused_kl,
-    kl_details,
-    run_with_reference,
-)
+from .diagnostics import run_with_reference
 from .evolve import (
     AdaptiveGapSchedule,
     AnnealedSchedule,
     BoltzmannSelection,
     BornMachineSampler,
-    ChainBayesSampler,
-    CrossoverSampler,
-    DegenerateBankError,
     EdaConfig,
-    GenerationContext,
-    GreedyTopK,
-    PopulationUpdate,
-    PositiveMpsSampler,
-    RunRecord,
-    SolutionBank,
-    TournamentSelection,
-    adaptive_temperature,
-    annealed_temperature,
-    boltzmann_select,
-    boltzmann_weights,
-    crossover_at,
-    greedy_select,
     mutate,
     run_eda,
-    tournament_select,
-    two_point_crossover,
 )
-from .experiment import (
-    SOLVER_PRESETS,
-    ConfigError,
-    ExperimentConfig,
-    build_problem,
-    build_solver,
-    run_experiment,
-    summarize,
-)
-from .models import (
-    ChainBayes,
-    FiniteDistribution,
-    TrainConfig,
-    born_nll,
-    born_pair_gradient,
-    chain_bayes_from_text,
-    chain_bayes_probability,
-    chain_bayes_to_text,
-    fit_chain_bayes,
-    model_kl_vs_target,
-    sample_chain_bayes,
-    train_born_machine,
-    train_positive_mps,
-)
+from .experiment import SOLVER_PRESETS
+from .models import TrainConfig, born_nll, train_born_machine
 from .mps import (
-    DegenerateModelError,
     EncodingMode,
-    Mps,
-    add_tensor_noise,
     apply_diffusion,
-    canonicalize_split,
-    load_mps,
-    log_probability,
     partition_function,
     perfect_sample,
     probability,
     random_init,
-    save_mps,
 )
-from .ordering import (
-    LinkageTree,
-    correlation_distance,
-    correlation_from_covariance,
-    distance_matrix,
-    leaf_order,
-    order_assets,
-    ward_linkage,
-)
-from .problems import (
-    DeceptiveTrap,
-    KnapsackProblem,
-    MaxSatProblem,
-    OneMax,
-    ParseError,
-    PortfolioProblem,
-    Problem,
-    brute_force_optimum,
-    knapsack_optimum_dp,
-    load_covariance_csv,
-    parse_dimacs_cnf,
-    parse_knapsack,
-    random_covariance,
-    random_knapsack,
-    relative_error,
-    serialize_dimacs_cnf,
-    serialize_knapsack,
-)
+from .ordering import correlation_distance, distance_matrix, leaf_order, ward_linkage
+from .problems import OneMax, PortfolioProblem, knapsack_optimum_dp, random_covariance, random_knapsack
 
 __version__ = "0.1.0"

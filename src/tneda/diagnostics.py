@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolve import BoltzmannSelection, EdaConfig, RunRecord, boltzmann_weights, run_eda, top_k_pool
-from .models import FiniteDistribution, model_log_probability, model_kl_vs_target
+from .evolve import BoltzmannSelection, EdaConfig, RunRecord, boltzmann_weights, run_eda
+from .models import FiniteDistribution, model_log_probability
 from .mps import Mps, apply_diffusion
 
 
@@ -46,14 +46,14 @@ class ReferenceRunResult:
     reports: list[KlReport]
 
 
-def boltzmann_target(bank, temperature: float, pool_size: int | None = None) -> FiniteDistribution:
-    """The selection distribution as an explicit finite distribution."""
-    strings, values = top_k_pool(bank, pool_size)
-    return FiniteDistribution(strings.copy(), boltzmann_weights(values, temperature))
-
-
 def kl_details(model, target: FiniteDistribution) -> tuple[float, int]:
-    """KL(target || model) plus the count of zero-probability support points."""
+    """KL(target || model) plus the count of zero-probability support points.
+
+    The sum runs exactly over the target's support; the KL is ``inf`` when
+    the model puts zero probability on a point the target weights. For
+    the model of "sample, then flip each bit with probability p", pass
+    ``apply_diffusion(model, p)``.
+    """
     mask = target.probs > 0
     t = target.probs[mask]
     logm = np.atleast_1d(model_log_probability(model, target.strings[mask]))
@@ -63,19 +63,6 @@ def kl_details(model, target: FiniteDistribution) -> tuple[float, int]:
     return float(np.sum(t * (np.log(t) - logm))), 0
 
 
-def diffused_kl(model: Mps, p_flip: float, target: FiniteDistribution | dict) -> float:
-    """KL(target || model-followed-by-bit-flips), exactly.
-
-    The diffusion operator is contracted into the probability network and
-    per-string probabilities are evaluated by ordinary contraction; the
-    cost is polynomial in N regardless of the support size.
-    """
-    if not 0.0 <= p_flip <= 1.0:
-        raise ValueError("p_flip must lie in [0, 1]")
-    diffused = model if p_flip == 0.0 else apply_diffusion(model, p_flip)
-    return model_kl_vs_target(diffused, target)
-
-
 def run_with_reference(
     problem,
     primary,
@@ -83,7 +70,6 @@ def run_with_reference(
     selection: BoltzmannSelection,
     cfg: EdaConfig,
     rng,
-    kl_p_flip: float | None = None,
     mirror_reference_rng: bool = False,
     observer=None,
 ) -> ReferenceRunResult:
@@ -99,12 +85,10 @@ def run_with_reference(
         reference: bystander sampler adapter, same model family.
         selection: must be Boltzmann (the target distribution is the
             selection distribution).
-        cfg: loop configuration; ``cfg.mutation_rate`` doubles as the
-            diffusion rate for the primary's KL unless ``kl_p_flip``
-            overrides it.
+        cfg: loop configuration; the primary's KL is scored on its model
+            diffused at ``cfg.mutation_rate``, the rate of the mutation
+            that follows its sampling.
         rng: generator or seed for the run.
-        kl_p_flip: diffusion applied to the primary model when scoring its
-            KL; default ``cfg.mutation_rate``.
         mirror_reference_rng: give the reference the same per-generation
             training stream as the primary, so identical configs produce
             delta = 0 exactly.
@@ -115,7 +99,6 @@ def run_with_reference(
     """
     if not isinstance(selection, BoltzmannSelection):
         raise ValueError("KL diagnostics require Boltzmann selection")
-    diffusion = cfg.mutation_rate if kl_p_flip is None else kl_p_flip
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     ref_stream = rng.spawn(1)[0]
 
@@ -130,12 +113,12 @@ def run_with_reference(
         reference.fit(ctx.parents, np.random.default_rng(ref_seed))
 
         primary_model = ctx.model.model
-        if diffusion > 0:
+        if cfg.mutation_rate > 0:
             if not isinstance(primary_model, Mps):
                 raise NotImplementedError(
                     "diffused KL is implemented for tensor-network models only"
                 )
-            primary_model = apply_diffusion(primary_model, diffusion)
+            primary_model = apply_diffusion(primary_model, cfg.mutation_rate)
         kl_primary, zeros_primary = kl_details(primary_model, target)
         kl_reference, zeros_reference = kl_details(reference.model, target)
         delta = (

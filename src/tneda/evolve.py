@@ -66,8 +66,6 @@ def top_k_pool(pool, k: int | None) -> tuple[np.ndarray, np.ndarray]:
     ``None`` (or at least the pool size) keeps the whole pool unchanged.
     """
     strings, values = _pool_arrays(pool)
-    if strings.shape[0] == 0:
-        raise ValueError("empty selection pool")
     if k is not None and k < strings.shape[0]:
         keep = top_k_indices(values, k)
         strings, values = strings[keep], values[keep]
@@ -79,8 +77,8 @@ class SolutionBank:
 
     The number of entries equals the number of objective-function calls
     made so far: a string is evaluated at most once per run. Rows are
-    keyed by their int8 bytes; the batch methods build every key at once
-    from a void view of the whole (B, N) array.
+    keyed by their int8 bytes, every key of a batch read at once through a
+    void view of the whole (B, N) array.
 
     The best entry is the first minimum among non-NaN values, or the first
     entry while every value is NaN.
@@ -100,25 +98,6 @@ class SolutionBank:
     def __len__(self) -> int:
         return self._n
 
-    def __contains__(self, bits) -> bool:
-        return self.lookup_many(self._one_row(bits))[0] >= 0
-
-    def _rows(self, rows) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=np.int8)
-        if rows.ndim != 2 or rows.shape[1] != self.n_bits:
-            raise ValueError(f"expected a (B, {self.n_bits}) bit array, got shape {rows.shape}")
-        return rows
-
-    def _one_row(self, bits) -> np.ndarray:
-        row = np.asarray(bits, dtype=np.int8)
-        if row.shape != (self.n_bits,):
-            raise ValueError(f"expected a length-{self.n_bits} bit string")
-        return row[None, :]
-
-    def _keys(self, rows: np.ndarray) -> list[bytes]:
-        """One bytes key per row, read through a void view of the whole batch."""
-        return rows.view(f"V{self.n_bits}").ravel().tolist()
-
     def _grow(self, need: int) -> None:
         cap = max(self._strings.shape[0], 1)
         while cap < need:
@@ -130,17 +109,6 @@ class SolutionBank:
         gens = np.empty(cap, dtype=np.int64)
         gens[: self._n] = self._generations[: self._n]
         self._strings, self._values, self._generations = strings, values, gens
-
-    def _from_keys(self, keys: list[bytes]) -> np.ndarray:
-        return np.frombuffer(b"".join(keys), dtype=np.int8).reshape(len(keys), self.n_bits)
-
-    def _lookup(self, keys: list[bytes]) -> np.ndarray:
-        positions = map(self._index.get, keys, repeat(-1))
-        return np.fromiter(positions, dtype=np.int64, count=len(keys))
-
-    def _unseen(self, keys: list[bytes], limit: int) -> list[bytes]:
-        index = self._index
-        return [key for key in dict.fromkeys(keys) if key not in index][: max(limit, 0)]
 
     def _append(self, keys: list[bytes], rows: np.ndarray, values: np.ndarray, generation: int) -> None:
         """Bank rows whose keys are distinct and not yet banked, in order."""
@@ -154,57 +122,30 @@ class SolutionBank:
         self._n = start + m
         self._update_best(start, values)
 
-    @staticmethod
-    def _values_for(rows: np.ndarray, values) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.shape[0] != rows.shape[0]:
-            raise ValueError("need one value per row")
-        return values
-
-    def lookup_many(self, rows) -> np.ndarray:
-        """Bank position of each row, -1 where the row is absent."""
-        return self._lookup(self._keys(self._rows(rows)))
-
-    def unseen(self, rows, limit: int) -> np.ndarray:
-        """The first ``limit`` rows absent from the bank, each once, in row order."""
-        return self._from_keys(self._unseen(self._keys(self._rows(rows)), limit))
-
-    def insert_many(self, rows, values, generation: int) -> int:
-        """Append rows absent from the bank, in the given order.
-
-        A row already banked, or repeated within ``rows``, is skipped after
-        its first occurrence. Returns the number of rows inserted.
-        """
-        rows = self._rows(rows)
-        values = self._values_for(rows, values)
-        index = self._index
-        first: dict[bytes, int] = {}  # unbanked key -> its first row, in row order
-        keys = self._keys(rows)
-        keep = [i for i, key in enumerate(keys) if key not in index and first.setdefault(key, i) == i]
-        if len(keep) < rows.shape[0]:
-            rows, values = rows[keep], values[keep]
-        if keep:
-            self._append(list(first), rows, values, generation)
-        return len(keep)
-
     def evaluate_unseen(self, rows, objective, limit: int, generation: int) -> tuple[np.ndarray, int]:
         """Bank ``objective`` on the unseen rows, then return every row's value.
 
-        ``unseen(rows, limit)`` goes to one ``objective`` call and is banked
-        in row order, as by ``insert_many``. The batch's keys are built once
-        and serve all three steps; the fresh keys are distinct and unbanked
-        by construction, so they are appended without ``insert_many``'s filter.
+        The first ``limit`` distinct rows absent from the bank, in row
+        order, go to one ``objective`` call and are banked in that order,
+        stamped with ``generation``. The batch's keys are built once and
+        serve the filter, the append and the lookup.
 
         Returns (per-row values with NaN where a row is not banked, number
         of rows evaluated).
         """
-        rows = self._rows(rows)
-        keys = self._keys(rows)
-        fresh_keys = self._unseen(keys, limit)
+        rows = np.ascontiguousarray(rows, dtype=np.int8)
+        if rows.ndim != 2 or rows.shape[1] != self.n_bits:
+            raise ValueError(f"expected a (B, {self.n_bits}) bit array, got shape {rows.shape}")
+        keys = rows.view(f"V{self.n_bits}").ravel().tolist()
+        index = self._index
+        fresh_keys = [key for key in dict.fromkeys(keys) if key not in index][: max(limit, 0)]
         if fresh_keys:
-            fresh = self._from_keys(fresh_keys)
-            self._append(fresh_keys, fresh, self._values_for(fresh, objective(fresh)), generation)
-        positions = self._lookup(keys)
+            fresh = np.frombuffer(b"".join(fresh_keys), dtype=np.int8).reshape(len(fresh_keys), self.n_bits)
+            fresh_values = np.asarray(objective(fresh), dtype=np.float64).reshape(-1)
+            if fresh_values.shape[0] != fresh.shape[0]:
+                raise ValueError("need one value per row")
+            self._append(fresh_keys, fresh, fresh_values, generation)
+        positions = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
         known = positions >= 0
         values = np.full(rows.shape[0], np.nan)
         values[known] = self._values[positions[known]]
@@ -220,14 +161,6 @@ class SolutionBank:
         current = self._values[self._best] if self._best >= 0 else np.nan
         if np.isnan(current) or new_values[candidate] < current:
             self._best = start + candidate
-
-    def add(self, bits, value: float, generation: int) -> bool:
-        """Insert a solution; returns False (and changes nothing) on a duplicate."""
-        return self.insert_many(self._one_row(bits), [value], generation) == 1
-
-    def value_of(self, bits) -> float | None:
-        pos = self.lookup_many(self._one_row(bits))[0]
-        return None if pos < 0 else float(self._values[pos])
 
     @property
     def strings(self) -> np.ndarray:
@@ -246,10 +179,6 @@ class SolutionBank:
         if self._n == 0:
             raise ValueError("bank is empty")
         return self._strings[self._best].copy(), float(self._values[self._best])
-
-    def top_indices(self, k: int) -> np.ndarray:
-        """Indices of the k best entries, ties broken by first-seen order."""
-        return top_k_indices(self.values, k)
 
 
 # --- temperatures -------------------------------------------------------------
@@ -304,14 +233,40 @@ class AnnealedSchedule:
     t0: float | None = None
     t_max: int | None = None  # None: resolved to the run's generation count
 
+    def temperature(self, bank: SolutionBank, generation: int, cfg: EdaConfig) -> float:
+        """T at ``generation`` (from 1); T0 and t_max default from the run.
+
+        The default T0 is the ddof-1 standard deviation of the values banked
+        at generation 0, or 1.0 when that is not finite and positive; the
+        default t_max is ``cfg.generations``.
+        """
+        t0 = self.t0
+        if t0 is None:
+            # stamps never decrease, so the generation-0 entries are a prefix
+            initial = bank.values[: np.searchsorted(bank.generations, 1)]
+            spread = float(np.std(initial, ddof=1)) if initial.size > 1 else 0.0
+            t0 = spread if np.isfinite(spread) and spread > 0 else 1.0
+        return annealed_temperature(t0, generation - 1, self.t_max or cfg.generations)
+
 
 @dataclass(frozen=True)
 class AdaptiveGapSchedule:
     rank: int = 5
     ratio: float = 3.0
 
+    def temperature(self, bank: SolutionBank, generation: int, cfg: EdaConfig) -> float:
+        """The gap temperature of the bank, floored at :data:`TEMPERATURE_FLOOR`."""
+        try:
+            return max(adaptive_temperature(bank, self.rank, self.ratio), TEMPERATURE_FLOOR)
+        except DegenerateBankError:
+            return TEMPERATURE_FLOOR
+
 
 # --- selection ----------------------------------------------------------------
+#
+# A policy's ``select(bank, population, generation, cfg, rng)`` returns
+# (parents, temperature, pool): the temperature and the (strings, values)
+# pool the parents were drawn from are ``None`` for policies without them.
 
 
 @dataclass(frozen=True)
@@ -325,14 +280,24 @@ class BoltzmannSelection:
     schedule: AnnealedSchedule | AdaptiveGapSchedule = field(default_factory=AnnealedSchedule)
     pool_size: int | None = None
 
+    def select(self, bank: SolutionBank, population, generation: int, cfg: EdaConfig, rng):
+        temperature = self.schedule.temperature(bank, generation, cfg)
+        pool = top_k_pool(bank, self.pool_size)
+        return boltzmann_select(pool, cfg.n_parents, temperature, rng), temperature, pool
+
 
 @dataclass(frozen=True)
 class TournamentSelection:
+    """Tournaments of ``arity`` over the working population."""
+
     arity: int = 3
 
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
+
+    def select(self, bank: SolutionBank, population, generation: int, cfg: EdaConfig, rng):
+        return tournament_select(population, cfg.n_parents, self.arity, rng), None, None
 
 
 @dataclass(frozen=True)
@@ -344,6 +309,9 @@ class GreedyTopK:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+
+    def select(self, bank: SolutionBank, population, generation: int, cfg: EdaConfig, rng):
+        return greedy_select(population[0], population[1], self.k), None, None
 
 
 def boltzmann_weights(values, temperature: float) -> np.ndarray:
@@ -358,20 +326,20 @@ def boltzmann_weights(values, temperature: float) -> np.ndarray:
     return w / w.sum()
 
 
-def boltzmann_select(bank, n: int, temperature: float, pool_size: int | None = None, rng=None):
+def boltzmann_select(pool, n: int, temperature: float, rng=None) -> np.ndarray:
     """n iid draws (with replacement) from the Boltzmann distribution.
 
     Args:
-        bank: :class:`SolutionBank` or a (strings, values) pair.
+        pool: :class:`SolutionBank` or a (strings, values) pair; restrict
+            it with :func:`top_k_pool` first to draw from the best k.
         n: number of parents to draw.
         temperature: positive temperature.
-        pool_size: best-k pool restriction, ``None`` for the full pool.
         rng: generator or seed.
 
     Returns:
         (n, N) int8 array of selected strings.
     """
-    strings, values = top_k_pool(bank, pool_size)
+    strings, values = _pool_arrays(pool)
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     idx = rng.choice(strings.shape[0], size=n, replace=True, p=boltzmann_weights(values, temperature))
     return strings[idx].astype(np.int8, copy=True)
@@ -380,8 +348,6 @@ def boltzmann_select(bank, n: int, temperature: float, pool_size: int | None = N
 def tournament_select(pool, n: int, arity: int, rng) -> np.ndarray:
     """Each output is the best of ``arity`` uniform draws; ties uniform."""
     strings, values = _pool_arrays(pool)
-    if strings.shape[0] == 0:
-        raise ValueError("empty selection pool")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     contenders = rng.integers(0, strings.shape[0], size=(n, arity))
     scores = values[contenders]
@@ -401,10 +367,14 @@ def greedy_select(samples, values, k: int) -> np.ndarray:
 
 
 def _pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
+    """(strings, values) of a bank or a pair; an empty pool is rejected."""
     if isinstance(pool, SolutionBank):
-        return pool.strings, pool.values
-    strings, values = pool
-    return np.asarray(strings), np.asarray(values, dtype=np.float64)
+        strings, values = pool.strings, pool.values
+    else:
+        strings, values = np.asarray(pool[0]), np.asarray(pool[1], dtype=np.float64)
+    if strings.shape[0] == 0:
+        raise ValueError("empty selection pool")
+    return strings, values
 
 
 # --- variation ----------------------------------------------------------------
@@ -418,28 +388,6 @@ def mutate(x, p_flip: float, rng) -> np.ndarray:
     bits = np.asarray(x, dtype=np.int8)
     flips = (rng.random(bits.shape) < p_flip).astype(np.int8)
     return np.bitwise_xor(bits, flips)
-
-
-def crossover_at(a, b, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Swap the segment [i, j) between two parents."""
-    a = np.asarray(a, dtype=np.int8)
-    b = np.asarray(b, dtype=np.int8)
-    if a.shape != b.shape:
-        raise ValueError("parents must have equal length")
-    child_a, child_b = a.copy(), b.copy()
-    child_a[i:j] = b[i:j]
-    child_b[i:j] = a[i:j]
-    return child_a, child_b
-
-
-def two_point_crossover(a, b, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point crossover with uniformly drawn cut points i <= j."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    a = np.asarray(a, dtype=np.int8)
-    if a.ndim != 1:
-        raise ValueError("two_point_crossover works on single strings")
-    cuts = np.sort(rng.integers(0, a.shape[0] + 1, size=2))
-    return crossover_at(a, b, int(cuts[0]), int(cuts[1]))
 
 
 # --- generative-model adapters -------------------------------------------------
@@ -614,14 +562,6 @@ class GenerationContext:
     record: RunRecord
 
 
-def _evaluate_new(problem, bank: SolutionBank, children: np.ndarray, generation: int, budget: int):
-    """Evaluate children absent from the bank, up to the remaining budget.
-
-    Returns (per-child values with NaN where unknown, number of new calls).
-    """
-    return bank.evaluate_unseen(children, problem.evaluate_batch, budget - len(bank), generation)
-
-
 def run_eda(
     problem,
     model,
@@ -635,7 +575,9 @@ def run_eda(
     Args:
         problem: objective with ``n_bits`` and ``evaluate_batch``.
         model: sampler adapter with ``fit(parents, rng)`` and ``sample(n, rng)``.
-        selection: Boltzmann, tournament, or greedy policy.
+        selection: policy with ``select(bank, population, generation, cfg,
+            rng)`` returning (parents, temperature or ``None``, pool or
+            ``None``): Boltzmann, tournament or greedy.
         cfg: loop configuration.
         rng: generator or integer seed; drives everything in the run.
         observer: optional callback receiving a :class:`GenerationContext`
@@ -652,54 +594,26 @@ def run_eda(
 
     bank = SolutionBank(n_bits)
     init_strings = rng.integers(0, 2, size=(n_init, n_bits), dtype=np.int8)
-    _evaluate_new(problem, bank, init_strings, generation=0, budget=cfg.call_budget)
+    bank.evaluate_unseen(init_strings, problem.evaluate_batch, cfg.call_budget, generation=0)
 
     population = (bank.strings.copy(), bank.values.copy())
-
-    annealed_t0 = None
-    annealed_t_max = None
-    if isinstance(selection, BoltzmannSelection) and isinstance(selection.schedule, AnnealedSchedule):
-        annealed_t0 = selection.schedule.t0
-        if annealed_t0 is None:
-            spread = float(np.std(bank.values, ddof=1)) if len(bank) > 1 else 0.0
-            annealed_t0 = spread if np.isfinite(spread) and spread > 0 else 1.0
-        annealed_t_max = selection.schedule.t_max or cfg.generations
 
     records: list[RunRecord] = []
     for generation in range(1, cfg.generations + 1):
         if len(bank) >= cfg.call_budget:
             break
 
-        temperature = None
-        pool_strings = pool_values = None
-        if isinstance(selection, BoltzmannSelection):
-            if isinstance(selection.schedule, AnnealedSchedule):
-                temperature = annealed_temperature(annealed_t0, generation - 1, annealed_t_max)
-            else:
-                try:
-                    temperature = adaptive_temperature(
-                        bank, selection.schedule.rank, selection.schedule.ratio
-                    )
-                except DegenerateBankError:
-                    temperature = TEMPERATURE_FLOOR
-                temperature = max(temperature, TEMPERATURE_FLOOR)
-            pool_strings, pool_values = top_k_pool(bank, selection.pool_size)
-            parents = boltzmann_select(
-                (pool_strings, pool_values), cfg.n_parents, temperature, None, rng
-            )
-        elif isinstance(selection, TournamentSelection):
-            parents = tournament_select(population, cfg.n_parents, selection.arity, rng)
-        elif isinstance(selection, GreedyTopK):
-            parents = greedy_select(population[0], population[1], selection.k)
-        else:
-            raise TypeError(f"unknown selection policy {type(selection).__name__}")
+        parents, temperature, pool = selection.select(bank, population, generation, cfg, rng)
+        pool_strings, pool_values = pool or (None, None)
 
         fit_seed = int(rng.integers(0, 2**63 - 1))
         model.fit(parents, np.random.default_rng(fit_seed))
         raw = model.sample(cfg.n_children, rng)
         children = mutate(raw, cfg.mutation_rate, rng)
 
-        child_values, n_new = _evaluate_new(problem, bank, children, generation, cfg.call_budget)
+        child_values, n_new = bank.evaluate_unseen(
+            children, problem.evaluate_batch, cfg.call_budget - len(bank), generation
+        )
 
         if cfg.population_update is PopulationUpdate.REPLACE_WITH_NEW_UNIQUE:
             known = ~np.isnan(child_values)

@@ -429,7 +429,6 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
             plan.selection,
             plan.cfg,
             rng=seed,
-            kl_p_flip=plan.diagnostics.get("kl_p_flip"),
             mirror_reference_rng=bool(plan.diagnostics.get("mirror_rng", False)),
             observer=clock,
         )

@@ -75,12 +75,17 @@ class TrainConfig:
 
 
 def _as_data(data) -> np.ndarray:
-    bits = np.asarray(data, dtype=np.intp)
-    if bits.ndim != 2 or bits.shape[0] == 0:
+    """C-contiguous int8 rows of a nonempty (n, N) array of exact 0s and 1s.
+
+    Values are checked as given, before any cast, so 0.5 or 256 is rejected
+    rather than truncated or wrapped; int8 rows come back uncopied.
+    """
+    data = np.asarray(data)
+    if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, N) bit array")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
+    if not ((data == 0) | (data == 1)).all():
         raise ValueError("training data must be binary")
-    return bits
+    return np.ascontiguousarray(data, dtype=np.int8)
 
 
 def _right_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
@@ -264,7 +269,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     n, width = bits.shape
     if width < 2:
         raise ValueError("two-site training needs at least 2 sites")
-    keys = np.ascontiguousarray(bits, dtype=np.int8).view(f"V{width}").ravel()
+    keys = bits.view(f"V{width}").ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     bits, w = bits[first], counts / n
     n = bits.shape[0]
@@ -449,7 +454,7 @@ def fit_chain_bayes(data, smoothing: float = 1.0) -> ChainBayes:
     p_first /= n + 2.0 * smoothing
 
     cond = np.empty((width - 1, 2, 2))
-    on = bits == 1  # bool: reductions over it beat those over the int64 rows
+    on = bits == 1  # bool: reductions over it beat those over the int8 rows
     ones = np.count_nonzero(on, axis=0).astype(np.float64)
     n_11 = np.count_nonzero(on[:, :-1] & on[:, 1:], axis=0).astype(np.float64)  # x_i = x_{i+1} = 1
     ones_prev, ones_next = ones[:-1], ones[1:]
@@ -495,45 +500,7 @@ def chain_bayes_log_probability(b: ChainBayes, x) -> np.ndarray | float:
     return float(logp[0]) if single else logp
 
 
-def chain_bayes_probability(b: ChainBayes, x) -> np.ndarray | float:
-    """p(x) = p(x_1) prod p(x_{i+1} | x_i); accepts a single string or a batch."""
-    out = np.exp(chain_bayes_log_probability(b, x))
-    return float(out) if np.isscalar(out) else out
-
-
-# Text table format, mirroring the MPS dump: header, sizes, then one line
-# of repr floats per table (p_first first, conditionals row-major).
-
-_CHAIN_HEADER = "tneda-chain-bayes 1"
-
-
-def chain_bayes_to_text(b: ChainBayes) -> str:
-    lines = [
-        _CHAIN_HEADER,
-        f"{b.n_sites} {repr(float(b.smoothing))}",
-        " ".join(repr(float(v)) for v in b.p_first),
-    ]
-    for table in b.conditionals:
-        lines.append(" ".join(repr(float(v)) for v in table.ravel()))
-    return "\n".join(lines) + "\n"
-
-
-def chain_bayes_from_text(text: str) -> ChainBayes:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != _CHAIN_HEADER:
-        raise ValueError("not a chain-Bayes table dump")
-    n_str, smoothing_str = lines[1].split()
-    n = int(n_str)
-    if len(lines) != 2 + n:
-        raise ValueError("table line count does not match site count")
-    p_first = np.array(lines[2].split(), dtype=np.float64)
-    cond = np.array(
-        [np.array(line.split(), dtype=np.float64).reshape(2, 2) for line in lines[3:]]
-    ).reshape(n - 1, 2, 2)
-    return ChainBayes(p_first, cond, float(smoothing_str))
-
-
-# --- exact KL against a finite target distribution ---------------------------
+# --- finite target distributions ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -555,12 +522,6 @@ class FiniteDistribution:
         object.__setattr__(self, "strings", strings)
         object.__setattr__(self, "probs", probs)
 
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "FiniteDistribution":
-        strings = np.array(list(mapping.keys()), dtype=np.int8)
-        probs = np.array(list(mapping.values()), dtype=np.float64)
-        return cls(strings, probs)
-
     def entropy(self) -> float:
         """Shannon entropy in nats over the support."""
         p = self.probs[self.probs > 0]
@@ -574,21 +535,3 @@ def model_log_probability(model, x) -> np.ndarray | float:
     if isinstance(model, ChainBayes):
         return chain_bayes_log_probability(model, x)
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def model_kl_vs_target(model, target: FiniteDistribution | dict) -> float:
-    """KL(target || model) summed exactly over the target's finite support.
-
-    Returns ``inf`` when the model puts zero probability on a support point
-    with positive target mass.
-    """
-    if isinstance(target, dict):
-        target = FiniteDistribution.from_dict(target)
-    mask = target.probs > 0
-    if not np.any(mask):
-        raise ValueError("target distribution has empty support")
-    t = target.probs[mask]
-    logm = np.atleast_1d(model_log_probability(model, target.strings[mask]))
-    if np.any(np.isneginf(logm)):
-        return math.inf
-    return float(np.sum(t * (np.log(t) - logm)))

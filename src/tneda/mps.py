@@ -420,53 +420,3 @@ def canonicalize_split(
         right = vh[:keep]
     return left.reshape(chi_l, 2, keep), right.reshape(keep, 2, chi_r)
 
-
-# --- text dump format (test fixtures) ---------------------------------------
-#
-#   tneda-mps 1
-#   <N> <mode> <chi_max>
-#   <chi_0> <chi_1> ... <chi_N>
-#   <row-major entries of tensor 0>
-#   ...
-
-_FORMAT_HEADER = "tneda-mps 1"
-
-
-def mps_to_text(m: Mps) -> str:
-    lines = [
-        _FORMAT_HEADER,
-        f"{m.n_sites} {m.mode.value} {m.chi_max}",
-        " ".join(str(d) for d in m.bond_dims),
-    ]
-    for t in m.tensors:
-        lines.append(" ".join(repr(float(v)) for v in t.ravel()))
-    return "\n".join(lines) + "\n"
-
-
-def mps_from_text(text: str) -> Mps:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != _FORMAT_HEADER:
-        raise ValueError("not a tneda MPS dump")
-    n_str, mode_str, chi_max_str = lines[1].split()
-    n, chi_max = int(n_str), int(chi_max_str)
-    mode = EncodingMode(mode_str)
-    dims = [int(v) for v in lines[2].split()]
-    if len(dims) != n + 1:
-        raise ValueError("bond list length does not match site count")
-    if len(lines) != 3 + n:
-        raise ValueError("tensor line count does not match site count")
-    tensors = []
-    for i in range(n):
-        flat = np.array(lines[3 + i].split(), dtype=np.float64)
-        tensors.append(flat.reshape(dims[i], 2, dims[i + 1]))
-    return Mps(tuple(tensors), mode, chi_max)
-
-
-def save_mps(m: Mps, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(mps_to_text(m))
-
-
-def load_mps(path) -> Mps:
-    with open(path) as fh:
-        return mps_from_text(fh.read())

@@ -19,7 +19,6 @@ from tneda.evolve import (
     PopulationUpdate,
     SolutionBank,
     TournamentSelection,
-    _evaluate_new,
     run_eda,
     top_k_indices,
     top_k_pool,
@@ -67,7 +66,7 @@ def test_batched_evaluation_matches_per_row_reference(case):
     bank, reference = SolutionBank(n_bits, capacity=1), ReferenceBank(n_bits)
     for generation, codes in enumerate(generations):
         children = bits_of(codes, n_bits)
-        values, n_new = _evaluate_new(problem, bank, children, generation, budget)
+        values, n_new = bank.evaluate_unseen(children, problem.evaluate_batch, budget - len(bank), generation)
         want_values, want_new = reference_evaluate_new(problem, reference, children, generation, budget)
         np.testing.assert_array_equal(values, want_values)
         assert n_new == want_new
@@ -92,8 +91,7 @@ def test_top_k_matches_stable_argsort(data):
 
     n_bits = 6
     bank = SolutionBank(n_bits)
-    bank.insert_many(bits_of(np.arange(values.size), n_bits), values, 0)
-    np.testing.assert_array_equal(bank.top_indices(k), want)
+    bank.evaluate_unseen(bits_of(np.arange(values.size), n_bits), lambda rows: values, values.size, 0)
     if values.size:
         # a pool no larger than k is kept whole, in bank order
         keep = want if k < values.size else np.arange(values.size)

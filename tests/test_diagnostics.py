@@ -6,22 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from tneda.diagnostics import (
-    KlReport,
-    boltzmann_target,
-    diffused_kl,
-    kl_details,
-    run_with_reference,
-)
+from tneda.diagnostics import KlReport, kl_details, run_with_reference
 from tneda.evolve import (
     AdaptiveGapSchedule,
     AnnealedSchedule,
     BoltzmannSelection,
     BornMachineSampler,
     EdaConfig,
+    boltzmann_weights,
+    top_k_pool,
 )
-from tneda.models import FiniteDistribution, TrainConfig, model_kl_vs_target
-from tneda.mps import EncodingMode, random_init
+from tneda.models import FiniteDistribution, TrainConfig
+from tneda.mps import EncodingMode, apply_diffusion, random_init
 from tneda.problems import OneMax, PortfolioProblem, random_covariance
 
 
@@ -29,24 +25,33 @@ def all_bitstrings(n):
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int8)
 
 
+def selection_target(pool, temperature, pool_size=None):
+    """The Boltzmann selection distribution over the best ``pool_size`` entries.
+
+    Built as the KL observer of ``run_with_reference`` builds its target.
+    """
+    strings, values = top_k_pool(pool, pool_size)
+    return FiniteDistribution(strings.copy(), boltzmann_weights(values, temperature))
+
+
 class TestBoltzmannTarget:
     def test_point_mass(self):
-        target = boltzmann_target((np.array([[0, 1]]), np.array([2.0])), 1.0)
+        target = selection_target((np.array([[0, 1]]), np.array([2.0])), 1.0)
         np.testing.assert_allclose(target.probs, [1.0])
 
     def test_equal_objectives_uniform(self):
         strings = all_bitstrings(2)
-        target = boltzmann_target((strings, np.zeros(4)), 0.5)
+        target = selection_target((strings, np.zeros(4)), 0.5)
         np.testing.assert_allclose(target.probs, np.full(4, 0.25))
 
     def test_log3_gap(self):
         strings = np.array([[0, 0], [1, 1]], dtype=np.int8)
-        target = boltzmann_target((strings, np.array([0.0, math.log(3.0)])), 1.0)
+        target = selection_target((strings, np.array([0.0, math.log(3.0)])), 1.0)
         np.testing.assert_allclose(target.probs, [0.75, 0.25])
 
     def test_pool_restriction(self):
         strings = all_bitstrings(2)
-        target = boltzmann_target((strings, np.array([3.0, 1.0, 0.0, 2.0])), 1e9, pool_size=2)
+        target = selection_target((strings, np.array([3.0, 1.0, 0.0, 2.0])), 1e9, pool_size=2)
         assert target.strings.shape == (2, 2)
         np.testing.assert_allclose(target.probs, [0.5, 0.5], atol=1e-9)
 
@@ -62,13 +67,13 @@ class TestDiffusedKl:
     def test_zero_flip_matches_plain_kl(self):
         m = random_init(6, 3, EncodingMode.AMPLITUDE, seed=0)
         target = self.make_target(6, 1)
-        assert diffused_kl(m, 0.0, target) == pytest.approx(model_kl_vs_target(m, target))
+        assert kl_details(apply_diffusion(m, 0.0), target)[0] == pytest.approx(kl_details(m, target)[0])
 
     def test_half_flip_entropy_identity(self):
         m = random_init(7, 2, EncodingMode.AMPLITUDE, seed=2)
         target = self.make_target(7, 3)
         expected = 7 * math.log(2.0) - target.entropy()
-        assert diffused_kl(m, 0.5, target) == pytest.approx(expected, abs=1e-9)
+        assert kl_details(apply_diffusion(m, 0.5), target)[0] == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("p_flip", [0.005, 0.01, 0.025])
     def test_matches_brute_force_equation(self, p_flip):
@@ -91,19 +96,19 @@ class TestDiffusedKl:
         q_tilde = kernel @ q
         index = target.strings.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
         expected = float(np.sum(target.probs * (np.log(target.probs) - np.log(q_tilde[index]))))
-        assert diffused_kl(m, p_flip, target) == pytest.approx(expected, abs=1e-9)
+        assert kl_details(apply_diffusion(m, p_flip), target)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_smooth_in_p_flip(self):
         m = random_init(6, 2, EncodingMode.AMPLITUDE, seed=6)
         target = self.make_target(6, 7)
         h = 1e-6
-        base = diffused_kl(m, 0.05, target)
-        assert abs(diffused_kl(m, 0.05 + h, target) - base) < 1e-3
+        base = kl_details(apply_diffusion(m, 0.05), target)[0]
+        assert abs(kl_details(apply_diffusion(m, 0.05 + h), target)[0] - base) < 1e-3
 
     def test_rejects_bad_p(self):
         m = random_init(4, 2, EncodingMode.AMPLITUDE, seed=8)
         with pytest.raises(ValueError):
-            diffused_kl(m, -0.1, self.make_target(4, 9))
+            kl_details(apply_diffusion(m, -0.1), self.make_target(4, 9))[0]
 
     def test_zero_support_reported(self):
         from tneda.mps import Mps

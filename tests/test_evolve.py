@@ -24,22 +24,30 @@ from tneda.evolve import (
     annealed_temperature,
     boltzmann_select,
     boltzmann_weights,
-    crossover_at,
     greedy_select,
     mutate,
     run_eda,
+    top_k_indices,
+    top_k_pool,
     tournament_select,
-    two_point_crossover,
 )
 from tneda.models import TrainConfig
 from tneda.problems import OneMax, random_knapsack
 
 
+def table_objective(table: dict):
+    """Objective reading each row's value from ``table``, keyed by the row's bit tuple."""
+    return lambda rows: np.array([table[tuple(int(b) for b in row)] for row in rows], dtype=float)
+
+
 def make_bank(values, n_bits=4, rng_seed=0):
+    """One random distinct string per value, the i-th banked at generation i."""
     rng = np.random.default_rng(rng_seed)
     bank = SolutionBank(n_bits)
     for gen, value in enumerate(values):
-        while not bank.add(rng.integers(0, 2, size=n_bits, dtype=np.int8), value, gen):
+        while not bank.evaluate_unseen(
+            rng.integers(0, 2, size=(1, n_bits), dtype=np.int8), lambda rows: [value], 1, gen
+        )[1]:
             pass
     return bank
 
@@ -47,108 +55,132 @@ def make_bank(values, n_bits=4, rng_seed=0):
 class TestSolutionBank:
     def test_deduplicates(self):
         bank = SolutionBank(3)
-        assert bank.add([0, 1, 0], 1.5, 0)
-        assert not bank.add([0, 1, 0], 2.5, 1)
+        values, n_new = bank.evaluate_unseen([[0, 1, 0], [0, 1, 0]], table_objective({(0, 1, 0): 1.5}), 10, 0)
+        assert n_new == 1
+        np.testing.assert_array_equal(values, [1.5, 1.5])
+        values, n_new = bank.evaluate_unseen([[0, 1, 0]], table_objective({(0, 1, 0): 2.5}), 10, 1)
+        assert n_new == 0
         assert len(bank) == 1
-        assert bank.value_of([0, 1, 0]) == 1.5
+        np.testing.assert_array_equal(values, [1.5])
 
     def test_best_and_contains(self):
         bank = SolutionBank(2)
-        bank.add([0, 0], 3.0, 0)
-        bank.add([1, 1], -1.0, 0)
+        bank.evaluate_unseen([[0, 0], [1, 1]], table_objective({(0, 0): 3.0, (1, 1): -1.0}), 10, 0)
         bits, value = bank.best()
         np.testing.assert_array_equal(bits, [1, 1])
         assert value == -1.0
-        assert [0, 0] in bank
-        assert [1, 0] not in bank
+        # a zero limit only looks rows up: NaN marks a row the bank does not hold
+        values, n_new = bank.evaluate_unseen([[0, 0], [1, 0]], table_objective({}), 0, 1)
+        assert n_new == 0
+        np.testing.assert_array_equal(values, [3.0, math.nan])
 
     def test_top_indices_ties_by_first_seen(self):
         bank = SolutionBank(2)
-        bank.add([0, 0], 1.0, 0)
-        bank.add([0, 1], 0.0, 0)
-        bank.add([1, 0], 0.0, 1)
-        np.testing.assert_array_equal(bank.top_indices(2), [1, 2])
+        objective = table_objective({(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0})
+        bank.evaluate_unseen([[0, 0], [0, 1]], objective, 10, 0)
+        bank.evaluate_unseen([[1, 0]], objective, 10, 1)
+        np.testing.assert_array_equal(top_k_indices(bank.values, 2), [1, 2])
 
     def test_growth_preserves_entries(self):
         bank = SolutionBank(6, capacity=2)
         rng = np.random.default_rng(1)
         rows = rng.integers(0, 2, size=(40, 6), dtype=np.int8)
         for i, row in enumerate(np.unique(rows, axis=0)):
-            bank.add(row, float(i), 0)
+            bank.evaluate_unseen(row[None, :], lambda fresh, v=float(i): [v], 1, 0)
         assert len(bank) == np.unique(rows, axis=0).shape[0]
         np.testing.assert_array_equal(bank.values, np.arange(len(bank), dtype=float))
 
     def test_grows_from_zero_capacity(self):
         bank = SolutionBank(2, capacity=0)
-        assert bank.insert_many([[0, 0], [0, 1], [1, 0]], [3.0, 2.0, 1.0], 0) == 3
+        objective = table_objective({(0, 0): 3.0, (0, 1): 2.0, (1, 0): 1.0})
+        assert bank.evaluate_unseen([[0, 0], [0, 1], [1, 0]], objective, 10, 0)[1] == 3
         np.testing.assert_array_equal(bank.values, [3.0, 2.0, 1.0])
 
     def test_nan_does_not_pin_best(self):
         bank = SolutionBank(2)
-        bank.add([0, 0], math.nan, 0)
+        objective = table_objective({(0, 0): math.nan, (1, 1): -5.0, (0, 1): math.nan, (1, 0): -2.0})
+        bank.evaluate_unseen([[0, 0]], objective, 10, 0)
         bits, value = bank.best()
         np.testing.assert_array_equal(bits, [0, 0])
         assert math.isnan(value)
-        bank.add([1, 1], -5.0, 0)
+        bank.evaluate_unseen([[1, 1]], objective, 10, 0)
         bits, value = bank.best()
         np.testing.assert_array_equal(bits, [1, 1])
         assert value == -5.0
-        bank.add([0, 1], math.nan, 1)
-        bank.add([1, 0], -2.0, 1)
+        bank.evaluate_unseen([[0, 1]], objective, 10, 1)
+        bank.evaluate_unseen([[1, 0]], objective, 10, 1)
         assert bank.best()[1] == -5.0
 
     def test_nan_does_not_pin_best_in_batch(self):
         bank = SolutionBank(2)
-        bank.insert_many([[0, 0], [1, 1], [0, 1]], [math.nan, 4.0, math.nan], 0)
+        objective = table_objective({(0, 0): math.nan, (1, 1): 4.0, (0, 1): math.nan, (1, 0): math.inf})
+        bank.evaluate_unseen([[0, 0], [1, 1], [0, 1]], objective, 10, 0)
         np.testing.assert_array_equal(bank.best()[0], [1, 1])
-        bank.insert_many([[1, 0]], [math.inf], 1)
+        bank.evaluate_unseen([[1, 0]], objective, 10, 1)
         assert bank.best()[1] == 4.0
 
     def test_all_nan_best_is_first_entry(self):
         bank = SolutionBank(2)
-        bank.insert_many([[1, 0], [0, 1]], [math.nan, math.nan], 0)
+        bank.evaluate_unseen([[1, 0], [0, 1]], table_objective({(1, 0): math.nan, (0, 1): math.nan}), 10, 0)
         np.testing.assert_array_equal(bank.best()[0], [1, 0])
 
     def test_batch_best_is_first_strict_minimum(self):
         bank = SolutionBank(3)
-        bank.add([0, 0, 0], 1.0, 0)
-        bank.insert_many([[0, 0, 1], [0, 1, 0], [0, 1, 1]], [1.0, 0.5, 0.5], 1)
+        objective = table_objective({(0, 0, 0): 1.0, (0, 0, 1): 1.0, (0, 1, 0): 0.5, (0, 1, 1): 0.5, (1, 0, 0): 0.5})
+        bank.evaluate_unseen([[0, 0, 0]], objective, 10, 0)
+        bank.evaluate_unseen([[0, 0, 1], [0, 1, 0], [0, 1, 1]], objective, 10, 1)
         np.testing.assert_array_equal(bank.best()[0], [0, 1, 0])
-        bank.insert_many([[1, 0, 0]], [0.5], 2)
+        bank.evaluate_unseen([[1, 0, 0]], objective, 10, 2)
         np.testing.assert_array_equal(bank.best()[0], [0, 1, 0])
 
-    def test_insert_many_skips_banked_and_repeated_rows(self):
+    def test_evaluate_unseen_skips_banked_and_repeated_rows(self):
         bank = SolutionBank(3)
-        bank.add([1, 1, 1], 9.0, 0)
-        rows = [[0, 0, 1], [1, 1, 1], [0, 0, 1], [1, 0, 0]]
-        assert bank.insert_many(rows, [1.0, 2.0, 3.0, 4.0], 5) == 2
+        table = table_objective({(1, 1, 1): 9.0, (0, 0, 1): 1.0, (1, 0, 0): 4.0})
+        seen = []
+
+        def objective(rows):
+            seen.append(rows.copy())
+            return table(rows)
+
+        bank.evaluate_unseen([[1, 1, 1]], objective, 10, 0)
+        values, n_new = bank.evaluate_unseen([[0, 0, 1], [1, 1, 1], [0, 0, 1], [1, 0, 0]], objective, 10, 5)
+        assert n_new == 2
+        np.testing.assert_array_equal(seen[1], [[0, 0, 1], [1, 0, 0]])  # one call, first-seen order
+        np.testing.assert_array_equal(values, [1.0, 9.0, 1.0, 4.0])
         np.testing.assert_array_equal(bank.strings, [[1, 1, 1], [0, 0, 1], [1, 0, 0]])
         np.testing.assert_array_equal(bank.values, [9.0, 1.0, 4.0])
         np.testing.assert_array_equal(bank.generations, [0, 5, 5])
 
-    def test_lookup_many_positions(self):
+    def test_evaluate_unseen_returns_every_rows_value(self):
         bank = SolutionBank(2)
-        bank.insert_many([[1, 1], [0, 1]], [1.0, 2.0], 0)
-        np.testing.assert_array_equal(bank.lookup_many([[0, 1], [0, 0], [1, 1], [0, 1]]), [1, -1, 0, 1])
-        assert bank.lookup_many(np.empty((0, 2), dtype=np.int8)).shape == (0,)
+        objective = table_objective({(1, 1): 1.0, (0, 1): 2.0})
+        bank.evaluate_unseen([[1, 1], [0, 1]], objective, 10, 0)
+        values, n_new = bank.evaluate_unseen([[0, 1], [0, 0], [1, 1], [0, 1]], objective, 0, 1)
+        assert n_new == 0
+        np.testing.assert_array_equal(values, [2.0, math.nan, 1.0, 2.0])
+        values, n_new = bank.evaluate_unseen(np.empty((0, 2), dtype=np.int8), objective, 10, 1)
+        assert values.shape == (0,) and n_new == 0
 
     def test_unseen_keeps_first_occurrences_up_to_limit(self):
-        bank = SolutionBank(2)
-        bank.add([0, 0], 0.0, 0)
         rows = [[1, 1], [0, 0], [1, 1], [0, 1], [1, 0]]
-        np.testing.assert_array_equal(bank.unseen(rows, 5), [[1, 1], [0, 1], [1, 0]])
-        np.testing.assert_array_equal(bank.unseen(rows, 2), [[1, 1], [0, 1]])
-        assert bank.unseen(rows, 0).shape == (0, 2)
-        assert bank.unseen(rows, -3).shape == (0, 2)
+        objective = table_objective({(0, 0): 0.0, (1, 1): 1.0, (0, 1): 2.0, (1, 0): 3.0})
+        for limit, want in ((5, [[1, 1], [0, 1], [1, 0]]), (2, [[1, 1], [0, 1]]), (0, []), (-3, [])):
+            bank = SolutionBank(2)
+            bank.evaluate_unseen([[0, 0]], objective, 1, 0)
+            _, n_new = bank.evaluate_unseen(rows, objective, limit, 1)
+            assert n_new == len(want)
+            np.testing.assert_array_equal(bank.strings[1:], np.reshape(want, (-1, 2)))
 
     def test_batch_methods_reject_wrong_width(self):
         bank = SolutionBank(3)
+        objective = table_objective({(0, 1, 1): 1.0})
         with pytest.raises(ValueError):
-            bank.lookup_many([[0, 1]])
+            bank.evaluate_unseen([[0, 1]], objective, 10, 0)
         with pytest.raises(ValueError):
-            bank.insert_many([[0, 1]], [1.0], 0)
+            bank.evaluate_unseen([0, 1, 1], objective, 10, 0)
         with pytest.raises(ValueError):
-            bank.insert_many([[0, 1, 1]], [1.0, 2.0], 0)
+            bank.evaluate_unseen([[0, 1, 1]], lambda rows: [1.0, 2.0], 10, 0)
+        assert len(bank) == 0
 
 
 class TestAnnealedTemperature:
@@ -206,7 +238,7 @@ class TestBoltzmannSelection:
 
     def test_infinite_temperature_uniform(self):
         bank = make_bank([0.0, 5.0, 10.0, 20.0], n_bits=5)
-        picks = boltzmann_select(bank, 50_000, 1e12, None, np.random.default_rng(0))
+        picks = boltzmann_select(bank, 50_000, 1e12, np.random.default_rng(0))
         keys = [row.tobytes() for row in bank.strings]
         counts = np.array([sum(row.tobytes() == k for row in picks) for k in keys])
         expected = 50_000 / 4
@@ -215,7 +247,7 @@ class TestBoltzmannSelection:
 
     def test_matches_analytic_softmax(self):
         bank = make_bank([0.0, 0.35, 1.1], n_bits=6)
-        picks = boltzmann_select(bank, 1_000_000, 0.5, None, np.random.default_rng(3))
+        picks = boltzmann_select(bank, 1_000_000, 0.5, np.random.default_rng(3))
         keys = [row.tobytes() for row in bank.strings]
         counts = {k: 0 for k in keys}
         for row in picks:
@@ -225,13 +257,13 @@ class TestBoltzmannSelection:
 
     def test_pool_restriction(self):
         bank = make_bank([5.0, 1.0, 3.0, 0.0], n_bits=5)
-        picks = boltzmann_select(bank, 2000, 1e9, pool_size=2, rng=np.random.default_rng(1))
+        picks = boltzmann_select(top_k_pool(bank, 2), 2000, 1e9, rng=np.random.default_rng(1))
         allowed = {bank.strings[1].tobytes(), bank.strings[3].tobytes()}
         assert all(row.tobytes() in allowed for row in picks)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            boltzmann_select(SolutionBank(3), 5, 1.0, None, np.random.default_rng(0))
+            boltzmann_select(SolutionBank(3), 5, 1.0, np.random.default_rng(0))
 
 
 class TestTournament:
@@ -334,32 +366,27 @@ class TestMutate:
 
 
 class TestCrossover:
-    def test_forced_cut_points(self):
-        a = np.zeros(4, dtype=np.int8)
-        b = np.ones(4, dtype=np.int8)
-        ca, cb = crossover_at(a, b, 1, 3)
-        np.testing.assert_array_equal(ca, [0, 1, 1, 0])
-        np.testing.assert_array_equal(cb, [1, 0, 0, 1])
+    def test_sampler_swaps_one_segment(self):
+        # Parents 0...0 and 1...1: a pair's children are complements, and one
+        # of them is the swapped segment's indicator, a single run of ones.
+        def run_of_ones(child):
+            ones = np.flatnonzero(child)
+            if ones.size == 0:
+                return (0, 0)
+            return (int(ones[0]), int(ones[-1]) + 1) if ones[-1] - ones[0] + 1 == ones.size else None
 
-    def test_equal_cuts_copy_parents(self):
-        a = np.array([0, 1, 0, 1], dtype=np.int8)
-        b = np.array([1, 1, 0, 0], dtype=np.int8)
-        ca, cb = crossover_at(a, b, 2, 2)
-        np.testing.assert_array_equal(ca, a)
-        np.testing.assert_array_equal(cb, b)
-
-    def test_allele_conservation(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            a = rng.integers(0, 2, size=9, dtype=np.int8)
-            b = rng.integers(0, 2, size=9, dtype=np.int8)
-            ca, cb = two_point_crossover(a, b, rng)
-            np.testing.assert_array_equal(np.sort(np.stack([ca, cb]), axis=0),
-                                          np.sort(np.stack([a, b]), axis=0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            crossover_at(np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int8), 0, 1)
+        n = 5
+        sampler = CrossoverSampler()
+        sampler.fit(np.stack([np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)]), None)
+        children = sampler.sample(600, np.random.default_rng(10))
+        segments = set()
+        for first, second in zip(children[0::2], children[1::2]):
+            np.testing.assert_array_equal(first, 1 - second)
+            runs = {run_of_ones(first), run_of_ones(second)} - {None}
+            assert runs, "neither child is a single run of ones"
+            segments |= runs
+        # every segment [i, j) with i < j is drawn
+        assert segments >= {(i, j) for i in range(n) for j in range(i + 1, n + 1)}
 
     def test_sampler_preserves_column_multisets(self):
         rng = np.random.default_rng(11)

@@ -11,19 +11,16 @@ import math
 import numpy as np
 import pytest
 
+from tneda.diagnostics import kl_details
 from tneda.models import (
-    chain_bayes_from_text,
-    chain_bayes_to_text,
     ChainBayes,
     FiniteDistribution,
     TrainConfig,
     born_nll,
     born_pair_gradient,
     chain_bayes_log_probability,
-    chain_bayes_probability,
     fit_chain_bayes,
     merge_pair,
-    model_kl_vs_target,
     sample_chain_bayes,
     train_born_machine,
     train_positive_mps,
@@ -76,6 +73,26 @@ class TestBornGradient:
         m = random_init(4, 2, EncodingMode.DIRECT_POSITIVE, seed=0)
         with pytest.raises(ValueError):
             born_pair_gradient(m, 0, [[0, 1, 0, 1]])
+
+
+TRAINING_ENTRY_POINTS = {
+    "train_born_machine": lambda rows: train_born_machine(rows, TrainConfig(learning_rate=0.1, chi_max=2), rng=0),
+    "train_positive_mps": lambda rows: train_positive_mps(
+        rows, TrainConfig(learning_rate=0.1, chi_max=2), init=random_init(3, 2, EncodingMode.DIRECT_POSITIVE, seed=0)
+    ),
+    "fit_chain_bayes": lambda rows: fit_chain_bayes(rows),
+    "born_nll": lambda rows: born_nll(random_init(3, 2, EncodingMode.AMPLITUDE, seed=0), rows),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TRAINING_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [2, -1, 0.5, 256])
+def test_training_data_must_be_exact_bits(entry, bad):
+    """A value other than exactly 0 or 1 is rejected, not truncated or wrapped to a bit."""
+    fit = TRAINING_ENTRY_POINTS[entry]
+    fit(np.array([[0, 1, 1], [1, 0, 0]]))  # the same rows with exact bits are accepted
+    with pytest.raises(ValueError, match="binary"):
+        fit(np.array([[0, 1, 1], [1, 0, bad]]))
 
 
 class TestTrainBornMachine:
@@ -188,11 +205,11 @@ class TestChainBayes:
     def test_uniform_model_probability(self):
         b = ChainBayes([0.5, 0.5], np.full((5, 2, 2), 0.5), 0.0)
         for bits in (np.zeros(6, dtype=int), np.ones(6, dtype=int)):
-            assert chain_bayes_probability(b, bits) == pytest.approx(2.0**-6)
+            assert np.exp(chain_bayes_log_probability(b, bits)) == pytest.approx(2.0**-6)
 
     def test_identity_model_mass(self):
         b = ChainBayes([0.5, 0.5], np.tile(np.eye(2), (3, 1, 1)), 0.0)
-        probs = chain_bayes_probability(b, all_bitstrings(4))
+        probs = np.exp(chain_bayes_log_probability(b, all_bitstrings(4)))
         expected = np.zeros(16)
         expected[0] = 0.5
         expected[-1] = 0.5
@@ -201,7 +218,7 @@ class TestChainBayes:
     def test_probabilities_sum_to_one(self):
         data = np.random.default_rng(5).integers(0, 2, size=(100, 7))
         b = fit_chain_bayes(data, smoothing=1.0)
-        assert chain_bayes_probability(b, all_bitstrings(7)).sum() == pytest.approx(1.0)
+        assert np.exp(chain_bayes_log_probability(b, all_bitstrings(7))).sum() == pytest.approx(1.0)
 
     def test_sampler_total_variation(self):
         data = np.random.default_rng(6).integers(0, 2, size=(300, 8))
@@ -209,42 +226,42 @@ class TestChainBayes:
         draws = sample_chain_bayes(b, np.random.default_rng(7), size=100_000)
         idx = draws.astype(np.int64) @ (1 << np.arange(7, -1, -1))
         emp = np.bincount(idx, minlength=256) / 100_000
-        exact = chain_bayes_probability(b, all_bitstrings(8))
+        exact = np.exp(chain_bayes_log_probability(b, all_bitstrings(8)))
         assert 0.5 * np.abs(emp - exact).sum() < 0.02
 
     def test_smoothing_avoids_zero_probability(self):
         b = fit_chain_bayes(np.zeros((10, 6), dtype=int), smoothing=1.0)
-        assert np.all(chain_bayes_probability(b, all_bitstrings(6)) > 0)
+        assert np.all(np.exp(chain_bayes_log_probability(b, all_bitstrings(6))) > 0)
 
     def test_sampled_strings_have_positive_probability(self):
         data = np.random.default_rng(8).integers(0, 2, size=(50, 5))
         b = fit_chain_bayes(data, smoothing=0.0)
         draws = sample_chain_bayes(b, np.random.default_rng(9), size=2000)
-        assert np.all(chain_bayes_probability(b, draws) > 0)
+        assert np.all(np.exp(chain_bayes_log_probability(b, draws)) > 0)
 
 
 class TestModelKl:
     def test_zero_against_itself(self):
         b = fit_chain_bayes(np.random.default_rng(1).integers(0, 2, size=(60, 4)), smoothing=1.0)
         strings = all_bitstrings(4)
-        target = FiniteDistribution(strings, chain_bayes_probability(b, strings))
-        assert model_kl_vs_target(b, target) == pytest.approx(0.0, abs=1e-12)
+        target = FiniteDistribution(strings, np.exp(chain_bayes_log_probability(b, strings)))
+        assert kl_details(b, target)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_pair(self):
         strings = all_bitstrings(2)
         target = FiniteDistribution(strings, np.full(4, 0.25))
         uniform = Mps((np.ones((1, 2, 1)),) * 2, EncodingMode.DIRECT_POSITIVE, 1)
-        assert model_kl_vs_target(uniform, target) == pytest.approx(0.0, abs=1e-12)
+        assert kl_details(uniform, target)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_target_against_uniform(self):
         target = FiniteDistribution(np.array([[0, 0], [1, 1]]), np.array([0.5, 0.5]))
         uniform = Mps((np.ones((1, 2, 1)),) * 2, EncodingMode.DIRECT_POSITIVE, 1)
-        assert model_kl_vs_target(uniform, target) == pytest.approx(math.log(2.0))
+        assert kl_details(uniform, target)[0] == pytest.approx(math.log(2.0))
 
     def test_infinite_on_unsupported_point(self):
         b = ChainBayes([1.0, 0.0], np.tile(np.eye(2), (2, 1, 1)), 0.0)
         target = FiniteDistribution(np.array([[1, 1, 1]]), np.array([1.0]))
-        assert model_kl_vs_target(b, target) == math.inf
+        assert kl_details(b, target)[0] == math.inf
 
     def test_rejects_unnormalized_target(self):
         with pytest.raises(ValueError):
@@ -257,26 +274,7 @@ class TestModelKl:
         strings = all_bitstrings(6)[rng.permutation(64)[:20]]
         w = rng.random(20)
         target = FiniteDistribution(strings, w / w.sum())
-        assert model_kl_vs_target(m, target) >= -1e-12
-
-    def test_accepts_dict_target(self):
-        uniform = Mps((np.ones((1, 2, 1)),) * 2, EncodingMode.DIRECT_POSITIVE, 1)
-        kl = model_kl_vs_target(uniform, {(0, 0): 0.5, (1, 1): 0.5})
-        assert kl == pytest.approx(math.log(2.0))
-
-
-class TestChainBayesText:
-    def test_roundtrip(self):
-        data = np.random.default_rng(3).integers(0, 2, size=(40, 6))
-        b = fit_chain_bayes(data, smoothing=1.0)
-        again = chain_bayes_from_text(chain_bayes_to_text(b))
-        np.testing.assert_array_equal(again.p_first, b.p_first)
-        np.testing.assert_array_equal(again.conditionals, b.conditionals)
-        assert again.smoothing == b.smoothing
-
-    def test_rejects_foreign_text(self):
-        with pytest.raises(ValueError):
-            chain_bayes_from_text("something else\n1 2\n")
+        assert kl_details(m, target)[0] >= -1e-12
 
 
 class TestTrainConfig:

@@ -17,15 +17,11 @@ from tneda.mps import (
     add_tensor_noise,
     apply_diffusion,
     canonicalize_split,
-    load_mps,
     log_probability,
-    mps_from_text,
-    mps_to_text,
     partition_function,
     perfect_sample,
     probability,
     random_init,
-    save_mps,
 )
 
 
@@ -348,29 +344,3 @@ class TestCanonicalizeSplit:
     def test_rejects_all_zero(self):
         with pytest.raises(DegenerateModelError):
             canonicalize_split(np.zeros((2, 2, 2, 2)), chi_max=None, cutoff=0.0)
-
-
-class TestDumpFormat:
-    @pytest.mark.parametrize("mode", list(EncodingMode))
-    def test_text_roundtrip(self, mode):
-        base = random_init(5, 3, EncodingMode.AMPLITUDE, seed=33)
-        if mode is not EncodingMode.AMPLITUDE:
-            tensors = tuple(np.abs(t) for t in base.tensors)
-            base = Mps(tensors, mode, base.chi_max)
-        again = mps_from_text(mps_to_text(base))
-        assert again.mode is base.mode
-        assert again.chi_max == base.chi_max
-        for a, b in zip(again.tensors, base.tensors):
-            np.testing.assert_array_equal(a, b)
-
-    def test_file_roundtrip(self, tmp_path):
-        m = random_init(4, 2, EncodingMode.DIRECT_POSITIVE, seed=8)
-        path = tmp_path / "model.mps"
-        save_mps(m, path)
-        again = load_mps(path)
-        for a, b in zip(again.tensors, m.tensors):
-            np.testing.assert_array_equal(a, b)
-
-    def test_rejects_foreign_text(self):
-        with pytest.raises(ValueError):
-            mps_from_text("not an mps\n1 2 3\n")
