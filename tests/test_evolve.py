@@ -365,7 +365,50 @@ class TestMutate:
             mutate(np.zeros(4, dtype=np.int8), 1.4, np.random.default_rng(0))
 
 
+class _ForcedCuts:
+    """Stand-in rng for CrossoverSampler: parents paired in order, every
+    pair cut at the same fixed points."""
+
+    def __init__(self, lo, hi):
+        self.cuts = (lo, hi)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def integers(self, low, high, size):
+        return np.tile(self.cuts, (size[0], 1))
+
+
 class TestCrossover:
+    def test_forced_cut_points(self):
+        a = np.array([0, 0, 0, 0, 0, 0, 0], dtype=np.int8)
+        b = np.array([1, 1, 1, 1, 1, 1, 1], dtype=np.int8)
+        sampler = CrossoverSampler()
+        sampler.fit(np.stack([a, b]), None)
+        c1, c2 = sampler.sample(2, _ForcedCuts(2, 5))
+        np.testing.assert_array_equal(c1, [0, 0, 1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(c2, [1, 1, 0, 0, 0, 1, 1])
+
+    def test_equal_cuts_copy_parents(self):
+        rng = np.random.default_rng(0)
+        parents = rng.integers(0, 2, size=(2, 8), dtype=np.int8)
+        sampler = CrossoverSampler()
+        sampler.fit(parents, None)
+        for cut in (0, 3, 8):
+            children = sampler.sample(2, _ForcedCuts(cut, cut))
+            np.testing.assert_array_equal(children, parents)
+
+    def test_allele_conservation(self):
+        rng = np.random.default_rng(1)
+        parents = rng.integers(0, 2, size=(2, 20), dtype=np.int8)
+        sampler = CrossoverSampler()
+        sampler.fit(parents, None)
+        children = sampler.sample(200, rng)
+        for pair in zip(children[0::2], children[1::2]):
+            np.testing.assert_array_equal(
+                np.sort(np.stack(pair), axis=0), np.sort(parents, axis=0)
+            )
+
     def test_sampler_swaps_one_segment(self):
         # Parents 0...0 and 1...1: a pair's children are complements, and one
         # of them is the swapped segment's indicator, a single run of ones.
