@@ -7,8 +7,9 @@ on the same parents as a bystander: it sees identical data but its own
 random stream, and nothing it does feeds back into the run.
 
 The model actually driving the run is "sample, then flip bits", whose
-distribution is the diffused model; its KL uses the exact diffusion
-construction rather than the raw network.
+distribution is the diffused model; its KL scores every pool string with
+the exact diffusion construction, for a Born machine of bond chi a DIRECT
+network of bond chi(chi+1)/2 (:func:`tneda.mps.apply_diffusion`).
 """
 
 from __future__ import annotations

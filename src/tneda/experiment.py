@@ -486,20 +486,19 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
 
 # --- summaries ----------------------------------------------------------------
 
+_STATS = ("median", "q1", "q3", "mean", "stderr")
+
 SUMMARY_FIELDS = (
     "generation",
     "n_runs",
-    "best_median",
-    "best_q1",
-    "best_q3",
-    "best_mean",
-    "best_stderr",
-    "rel_err_median",
-    "rel_err_q1",
-    "rel_err_q3",
-    "rel_err_mean",
-    "rel_err_stderr",
+    *(f"best_{name}" for name in _STATS),
+    *(f"rel_err_{name}" for name in _STATS),
     "calls_median",
+    *(f"kl_primary_{name}" for name in _STATS[:3]),
+    "kl_reference_median",
+    *(f"kl_delta_{name}" for name in _STATS[:3]),
+    "kl_infinite",
+    "n_new_median",
 )
 
 
@@ -512,13 +511,21 @@ def _stats(values: list[float]) -> tuple[float, float, float, float, float | Non
     return float(med), float(q1), float(q3), mean, stderr
 
 
+def _columns(prefix: str, values: list[float]) -> dict:
+    """``<prefix>_<stat>`` for every statistic of ``_stats``; all None without values."""
+    stats = _stats(values) if values else (None,) * len(_STATS)
+    return {f"{prefix}_{name}": value for name, value in zip(_STATS, stats)}
+
+
 def summarize(records: list[dict]) -> list[dict]:
     """Per-generation statistics over runs.
 
     Quartiles use linear interpolation (numpy's default, quantile type 7);
     the standard error is the ddof-1 standard deviation over runs divided
-    by sqrt(runs). Relative-error columns are empty when no record carries
-    a relative error.
+    by sqrt(runs). A column is empty when no record of its generation
+    carries the field: relative errors need an optimum, KL columns need
+    diagnostics. KL statistics run over finite values; ``kl_infinite``
+    counts the records with an infinite primary or reference KL.
     """
     if not records:
         raise ValueError("no records to summarize")
@@ -528,29 +535,22 @@ def summarize(records: list[dict]) -> list[dict]:
     rows = []
     for generation in sorted(by_generation):
         bucket = by_generation[generation]
-        best_med, best_q1, best_q3, best_mean, best_se = _stats([r["best"] for r in bucket])
-        rels = [r["relative_error"] for r in bucket if r.get("relative_error") is not None]
-        if rels:
-            rel_med, rel_q1, rel_q3, rel_mean, rel_se = _stats(rels)
-        else:
-            rel_med = rel_q1 = rel_q3 = rel_mean = rel_se = None
-        rows.append(
-            {
-                "generation": generation,
-                "n_runs": len(bucket),
-                "best_median": best_med,
-                "best_q1": best_q1,
-                "best_q3": best_q3,
-                "best_mean": best_mean,
-                "best_stderr": best_se,
-                "rel_err_median": rel_med,
-                "rel_err_q1": rel_q1,
-                "rel_err_q3": rel_q3,
-                "rel_err_mean": rel_mean,
-                "rel_err_stderr": rel_se,
-                "calls_median": float(np.median([r["calls"] for r in bucket])),
-            }
-        )
+        present = lambda key: [r[key] for r in bucket if r.get(key) is not None]  # noqa: E731
+        infinite = [bool(r.get("kl_primary_infinite") or r.get("kl_reference_infinite")) for r in bucket]
+        carries_kl = any(infinite) or bool(present("kl_primary") or present("kl_reference"))
+        row = {
+            "generation": generation,
+            "n_runs": len(bucket),
+            **_columns("best", [r["best"] for r in bucket]),
+            **_columns("rel_err", present("relative_error")),
+            "calls_median": float(np.median([r["calls"] for r in bucket])),
+            **_columns("kl_primary", present("kl_primary")),
+            **_columns("kl_reference", present("kl_reference")),
+            **_columns("kl_delta", present("kl_delta")),
+            "kl_infinite": sum(infinite) if carries_kl else None,
+            **_columns("n_new", present("n_new")),
+        }
+        rows.append({key: row[key] for key in SUMMARY_FIELDS})
     return rows
 
 

@@ -37,9 +37,10 @@ class EncodingMode(Enum):
     #: Probabilities encoded in first power with nonnegative entries.
     DIRECT_POSITIVE = "direct_positive"
     #: First-power encoding without an entrywise sign constraint. Arises
-    #: when a Born machine is squared into an explicit probability network
-    #: (e.g. by :func:`apply_diffusion`); every full contraction is still
-    #: nonnegative even though single entries may not be.
+    #: when :func:`apply_diffusion` writes a diffused Born machine as a
+    #: probability network on the symmetric pairs of its squared bonds
+    #: (bond chi(chi+1)/2); every full contraction is still nonnegative
+    #: even though single entries may not be.
     DIRECT = "direct"
 
 
@@ -331,29 +332,42 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
     return bits[0] if size is None else bits
 
 
+def _symmetric_fold(chi: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs a <= b of a chi bond, and ``Q^T (x) D``; Q (chi^2, k) adds rows (a, b) and (b, a)."""
+    a, b = np.triu_indices(chi)
+    q = np.zeros((chi * chi, a.size))
+    q[a * chi + b, np.arange(a.size)] = 1.0
+    q[b * chi + a, np.arange(a.size)] = 1.0
+    return a, b, (q.T[:, None, :, None] * d[None, :, None, :]).reshape(2 * a.size, 2 * chi * chi)
+
+
 def apply_diffusion(m: Mps, p_flip: float) -> Mps:
     """Model of "sample, then flip each bit independently with p_flip".
 
-    Contracts the column-stochastic matrix
-    ``D = [[1-p, p], [p, 1-p]]`` into every physical leg of the
-    probability-space network. For amplitude models the squared network is
-    built explicitly first (bond dimension chi^2), so the result encodes
-    the diffused distribution exactly; it is returned in DIRECT mode.
-    Normalization is preserved.
+    Contracts the column-stochastic matrix ``D = [[1-p, p], [p, 1-p]]``
+    into every physical leg of the probability-space network, preserving
+    normalization. An amplitude model comes back as the DIRECT network of
+    its exact diffused distribution, with bond chi(chi+1)/2 (15 for chi 5)
+    instead of chi^2: the squared site ``T[(a,a'), x, (b,b')] = sum_y
+    D[x,y] t[a,y,b] t[a',y,b']`` maps a symmetric left environment V to the
+    symmetric ``sum_y D[x,y] t_y^T V t_y``, so V's upper triangle suffices.
+    Each site is ``Q_l^T T[:, :, upper_r]``, one matmul of ``Q_l^T (x) D``
+    (:func:`_symmetric_fold`) with the products on the upper columns.
     """
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must lie in [0, 1]")
     d = np.array([[1.0 - p_flip, p_flip], [p_flip, 1.0 - p_flip]])
-    if m.mode is EncodingMode.AMPLITUDE:
-        squared = []
-        for t in m.tensors:
-            chi_l, _, chi_r = t.shape
-            # p[(a, c), y, (b, d)] = t[a, y, b] t[c, y, d]
-            p = t[:, None, :, :, None] * t[None, :, :, None, :]
-            squared.append(d @ p.reshape(chi_l * chi_l, 2, chi_r * chi_r))
-        return Mps(tuple(squared), EncodingMode.DIRECT, max(m.chi_max**2, 1))
-    diffused = tuple(d @ t for t in m.tensors)
-    return Mps(diffused, m.mode, m.chi_max)
+    if m.mode is not EncodingMode.AMPLITUDE:
+        return Mps(tuple(d @ t for t in m.tensors), m.mode, m.chi_max)
+    folds = {chi: _symmetric_fold(chi, d) for chi in set(m.bond_dims)}
+    sites = []
+    for t in m.tensors:
+        chi_l, _, chi_r = t.shape
+        fold_l, (b, b2, _) = folds[chi_l][2], folds[chi_r]
+        # rows (a, a', y), columns b <= b': t[a, y, b] t[a', y, b']
+        pairs = np.take(t, b, axis=2)[:, None] * np.take(t, b2, axis=2)[None]
+        sites.append((fold_l @ pairs.reshape(2 * chi_l * chi_l, b.size)).reshape(-1, 2, b.size))
+    return Mps(tuple(sites), EncodingMode.DIRECT, m.chi_max * (m.chi_max + 1) // 2)
 
 
 def add_tensor_noise(m: Mps, alpha_noise: float, rng) -> Mps:

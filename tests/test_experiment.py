@@ -1,5 +1,6 @@
 """Harness tests: presets, record files, determinism, summaries, CLI."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,7 @@ from tneda.evolve import (
 )
 from tneda.experiment import (
     SOLVER_PRESETS,
+    SUMMARY_FIELDS,
     ConfigError,
     ExperimentConfig,
     build_problem,
@@ -268,6 +270,40 @@ class TestSummarize:
         write_summary_csv(summarize(records), path)
         header = path.read_text().splitlines()[0]
         assert header.startswith("generation,n_runs,best_median")
+
+    def test_kl_columns_match_records(self, tmp_path):
+        manifest = run_experiment(fast_config(tmp_path, solver_extra={"diagnostics": {"reference": {}}}))
+        records = read_records(tmp_path / "results")
+        with open(manifest["summary"], newline="") as fh:
+            written = list(csv.DictReader(fh))
+        rows = summarize(records)
+        assert len(rows) == len(written) == 8
+
+        def quartiles(values):
+            return [float(q) for q in np.quantile(values, [0.5, 0.25, 0.75])] if values else [None] * 3
+
+        for row, line in zip(rows, written):
+            bucket = [r for r in records if r["generation"] == row["generation"]]
+            assert len(bucket) == 2
+            kl_keys = ("kl_primary", "kl_reference", "kl_delta")
+            finite = {k: [r[k] for r in bucket if r[k] is not None] for k in kl_keys}
+            assert any(finite.values())
+            expected = {
+                "kl_infinite": sum(r["kl_primary_infinite"] or r["kl_reference_infinite"] for r in bucket),
+                "kl_reference_median": quartiles(finite["kl_reference"])[0],
+                "n_new_median": float(np.median([r["n_new"] for r in bucket])),
+            }
+            for key in ("kl_primary", "kl_delta"):
+                expected.update(zip((f"{key}_median", f"{key}_q1", f"{key}_q3"), quartiles(finite[key])))
+            assert {k: row[k] for k in expected} == expected
+            as_csv = {k: "" if v is None else str(v) for k, v in expected.items()}
+            assert {k: line[k] for k in expected} == as_csv
+
+    def test_kl_columns_empty_without_kl(self):
+        records = [{"generation": 1, "best": -1.0, "relative_error": None, "calls": 5, "n_new": 3}]
+        row = summarize(records)[0]
+        assert all(row[k] is None for k in SUMMARY_FIELDS if k.startswith("kl_"))
+        assert row["n_new_median"] == 3.0
 
 
 class TestCli:

@@ -12,6 +12,8 @@ weighting. Property tests check that the trainers stay finite or fail with
 keep it off the hot path.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,19 @@ def repeated_index(n, seed):
     return rng.permutation(np.repeat(np.arange(n), rng.integers(1, 7, size=n)))
 
 
+def symmetric_fold(chi):
+    """Q (chi^2, k) adding rows (a, b) and (b, a) into pair a <= b, and the pairs' flat indices."""
+    pairs = [(a, b) for a in range(chi) for b in range(a, chi)]
+    q = np.zeros((chi * chi, len(pairs)))
+    for k, (a, b) in enumerate(pairs):
+        q[a * chi + b, k] = q[b * chi + a, k] = 1.0
+    return q, [a * chi + b for a, b in pairs]
+
+
+def all_bits(n_sites):
+    return (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
+
+
 def assert_same_model(a, b):
     assert a.bond_dims == b.bond_dims
     for ta, tb in zip(a.tensors, b.tensors):
@@ -73,7 +88,7 @@ def assert_same_model(a, b):
 
 @pytest.fixture(scope="module")
 def diffused():
-    """A 40-site chi-5 Born model and its chi^2 = 25 diffused network."""
+    """A 40-site chi-5 Born model and its diffused network, bond 15."""
     born = random_init(40, 5, EncodingMode.AMPLITUDE, seed=7)
     return born, apply_diffusion(born, 0.01)
 
@@ -127,7 +142,7 @@ class TestZeroValuedStrings:
 
     def test_log_probability(self, mode, chi):
         m = self.zeroed(mode, chi)
-        bits = (np.arange(2**9)[:, None] >> np.arange(9)) & 1
+        bits = all_bits(9)
         expected = oracle.log_probability(m, bits)
         assert np.isneginf(expected).any() and np.isfinite(expected).any()
         assert_rel_close(log_probability(m, bits), expected)
@@ -141,10 +156,18 @@ class TestZeroValuedStrings:
 
 class TestDiffusedNetwork:
     def test_tensors(self, diffused):
+        # The oracle's chi^2 sites with rows (a, a') and (a', a) summed and
+        # the columns b <= b' kept are the network's sites.
         born, net = diffused
-        for t, ref in zip(net.tensors, oracle.apply_diffusion(born, 0.01).tensors):
-            assert_rel_close(t, ref, rel=1e-15)
-        assert max(net.bond_dims) == 25
+        ref = oracle.apply_diffusion(born, 0.01)
+        for t, r in zip(net.tensors, ref.tensors):
+            q_l, _ = symmetric_fold(math.isqrt(r.shape[0]))
+            _, upper_r = symmetric_fold(math.isqrt(r.shape[2]))
+            folded = (q_l.T @ r.reshape(r.shape[0], -1)).reshape(-1, 2, r.shape[2])[:, :, upper_r]
+            assert_rel_close(t, folded, rel=1e-15)
+        assert max(net.bond_dims) == 15
+        bits = random_bits(500, 40, seed=3)
+        assert_rel_close(log_probability(net, bits), oracle.log_probability(ref, bits))
 
     def test_log_partition_function(self, diffused):
         _, net = diffused
@@ -159,6 +182,45 @@ class TestDiffusedNetwork:
         _, net = diffused
         drawn = perfect_sample(net, np.random.default_rng(5), size=200)
         np.testing.assert_array_equal(drawn, oracle.perfect_sample(net, np.random.default_rng(5), 200))
+
+
+class TestSymmetricFold:
+    """``apply_diffusion`` of Born models against the oracle's chi^2 network, over all 2^N strings."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        n_sites=st.integers(2, 8),
+        chi=st.integers(1, 5),
+        zeroed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_chi2_network(self, n_sites, chi, zeroed, seed):
+        m = random_init(n_sites, chi, EncodingMode.AMPLITUDE, seed=seed)
+        if zeroed:
+            rng = np.random.default_rng(seed)
+            m = Mps(tuple(np.where(rng.random(t.shape) < 0.3, 0.0, t) for t in m.tensors), m.mode, chi)
+        try:
+            log_partition_function(m)
+        except DegenerateModelError:  # every amplitude is zero, so is every diffused probability
+            with pytest.raises(DegenerateModelError):
+                log_partition_function(apply_diffusion(m, 0.01))
+            return
+        bits = all_bits(n_sites)
+        for p_flip in (0.0, 0.005, 0.01, 0.5):
+            net = apply_diffusion(m, p_flip)
+            assert max(net.bond_dims) <= chi * (chi + 1) // 2
+            logp = log_probability(net, bits)
+            expected = oracle.log_probability(oracle.apply_diffusion(m, p_flip), bits)
+            if p_flip == 0.0:
+                # Where psi nearly cancels, chi^2 contractions already differ
+                # from the oracle by 1e-8 relative; probabilities stay close.
+                np.testing.assert_array_equal(np.isneginf(logp), np.isneginf(expected))
+                np.testing.assert_allclose(np.exp(logp), np.exp(expected), rtol=0, atol=1e-9)
+            else:
+                assert_rel_close(logp, expected)
+            assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
+            drawn = perfect_sample(net, np.random.default_rng(seed), size=200)
+            assert np.isfinite(log_probability(net, drawn)).all()
 
 
 class TestTraining:

@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tneda.mps import (
@@ -227,6 +229,28 @@ class TestPerfectSample:
         draws = perfect_sample(m, np.random.default_rng(42), size=2000)
         assert draws.shape == (2000, 10)
         assert np.all(probability(m, draws) > 0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        mode=st.sampled_from([EncodingMode.AMPLITUDE, EncodingMode.DIRECT_POSITIVE]),
+        n_sites=st.integers(1, 10),
+        chi=st.integers(1, 4),
+        zeroed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sums_to_one_and_draws_have_support(self, mode, n_sites, chi, zeroed, seed):
+        m = random_init(n_sites, chi, mode, seed=seed)
+        if zeroed:  # about 30% of entries zero: some strings, or all, get value zero
+            rng = np.random.default_rng(seed)
+            m = Mps(tuple(np.where(rng.random(t.shape) < 0.3, 0.0, t) for t in m.tensors), mode, chi)
+        values = np.array([chain_value(m, bits) for bits in all_bitstrings(n_sites)])
+        if not values.any():
+            with pytest.raises(DegenerateModelError):
+                perfect_sample(m, np.random.default_rng(seed), size=10)
+            return
+        assert probability(m, all_bitstrings(n_sites)).sum() == pytest.approx(1.0, abs=1e-12)
+        draws = perfect_sample(m, np.random.default_rng(seed), size=500)
+        assert np.all(values[draws.astype(np.int64) @ (1 << np.arange(n_sites - 1, -1, -1))] != 0)
 
 
 class TestApplyDiffusion:
