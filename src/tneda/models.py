@@ -110,13 +110,20 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)).reshape(a.shape[0], 2, 2, b.shape[2])
 
 
+def pair_onehots(bits: np.ndarray) -> np.ndarray:
+    """One-hots of every pair's codes ``2 x_i + x_{i+1}``, shape (N-1, 4, 1, n).
+
+    Entry ``[i, c, 0, b]`` says that row b has code c at pair (i, i+1).
+    """
+    return (2 * bits[:, :-1] + bits[:, 1:]).T[:, None, None, :] == np.arange(4)[:, None, None]
+
+
 def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     """sum_b lx[:, b] (x) weighted[:, b] scattered to the pair's bits, (chi_l, 2, 2, chi_r).
 
     ``lx`` is (chi_l, n) and ``weighted`` (chi_r, n), one string per column.
-    ``onehot`` (4, 1, n) is ``code == np.arange(4)[:, None, None]`` for the
-    pair codes ``2 * x_i + x_{i+1}``; string b contributes only to the
-    block ``[:, x_i, x_{i+1}, :]`` its bits select.
+    ``onehot`` (4, 1, n) is the pair's entry of :func:`pair_onehots`; string
+    b contributes only to the block ``[:, x_i, x_{i+1}, :]`` its bits select.
     """
     chi_r, n = weighted.shape
     scattered = np.where(onehot, weighted, 0.0).reshape(4 * chi_r, n)
@@ -127,8 +134,7 @@ def pair_nll_gradient(
     theta: np.ndarray,
     lx: np.ndarray,
     rx: np.ndarray,
-    xi: np.ndarray,
-    xj: np.ndarray,
+    onehot: np.ndarray,
     la: np.ndarray | None = None,
     rb: np.ndarray | None = None,
     w: np.ndarray | None = None,
@@ -144,7 +150,9 @@ def pair_nll_gradient(
         theta: merged two-site tensor (chi_l, 2, 2, chi_r).
         lx, rx: per-string left/right environments, one string per column,
             shapes (chi_l, n) and (chi_r, n).
-        xi, xj: the pair's bit columns, length n.
+        onehot: the pair's one-hot codes, shape (4, 1, n), its entry of
+            :func:`pair_onehots`; ``onehot[c, 0, b]`` says that string b
+            has bits ``(x_i, x_j) = divmod(c, 2)``.
         la, rb: bond Gram matrices of the rest of the chain; ``None`` means
             identity (mixed-canonical gauge), in which case Z = ||theta||^2.
         w: per-row weights summing to 1; ``None`` means uniform ``1/n``.
@@ -158,9 +166,9 @@ def pair_nll_gradient(
     if w is None:
         w = np.full(n, 1.0 / n)
     chi_l, _, _, chi_r = theta.shape
-    code = 2 * xi + xj
     per_bits = (theta.reshape(chi_l, 4 * chi_r).T @ lx).reshape(4, chi_r, n)
-    amps = (per_bits * rx).sum(axis=1)[code, np.arange(n)]
+    # each column has one nonzero, so the sum picks its string's amplitude exactly
+    amps = np.where(onehot[:, 0], (per_bits * rx).sum(axis=1), 0.0).sum(axis=0)
     safe = np.where(np.abs(amps) < _AMP_FLOOR, _AMP_FLOOR, amps)
 
     if la is None:
@@ -173,7 +181,6 @@ def pair_nll_gradient(
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    onehot = code == np.arange(4)[:, None, None]
     grad_data = _pair_data_gradient(lx, rx * (w / safe), onehot)
 
     nll = -2.0 * float(w @ np.log(np.abs(safe))) + math.log(z)
@@ -217,7 +224,7 @@ def born_pair_gradient(m: Mps, i: int, data) -> tuple[float, np.ndarray]:
     bits = _as_data(data)
     lx, rx, la, rb = born_pair_environments(m, i, bits)
     theta = merge_pair(m, i)
-    return pair_nll_gradient(theta, lx, rx, bits[:, i], bits[:, i + 1], la, rb)
+    return pair_nll_gradient(theta, lx, rx, pair_onehots(bits[:, i : i + 2])[0], la, rb)
 
 
 def born_nll(m: Mps, data) -> float:
@@ -250,7 +257,8 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
 
     The rows are reduced once to their distinct strings, in byte order,
     each weighted by its share of the rows, so the fit is the same for any
-    order of the rows and its environments cost O(distinct rows).
+    order of the rows and its environments cost O(distinct rows). Their
+    bit masks and pair one-hots are built once per fit, not once per pair.
 
     Args:
         data: (n, N) bit array, n >= 1.
@@ -274,6 +282,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     bits, w = bits[first], counts / n
     n = bits.shape[0]
     is_one = (bits.T == 1)[:, None, :]
+    onehots = pair_onehots(bits)
     if cfg.fresh_init or init is None:
         start = random_init(width, cfg.chi_max, EncodingMode.AMPLITUDE, rng)
     else:
@@ -294,9 +303,10 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
         for i, absorb, moving in _sweep_pair_schedule(width):
             theta = _merge(tensors[i], tensors[i + 1])
             for _ in range(cfg.grad_steps_per_pair):
-                _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], bits[:, i], bits[:, i + 1], w=w)
+                _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
                 theta = theta - cfg.learning_rate * grad
-            norm = np.linalg.norm(theta)
+            flat = theta.reshape(-1)
+            norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula, without its wrapper
             if not math.isfinite(norm):
                 raise DegenerateModelError(f"pair {i}: merged tensor is non-finite after a gradient step")
             if norm == 0.0:
@@ -357,7 +367,7 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
     tensors = [t.copy() for t in init.tensors]
     sums = [t.sum(axis=1) for t in tensors]
     is_one = (bits.T == 1)[:, None, :]
-    onehots = (2 * bits[:, :-1] + bits[:, 1:]).T[:, None, None, :] == np.arange(4)[:, None, None]
+    onehots = pair_onehots(bits)
     lr = cfg.learning_rate
 
     for _ in range(cfg.sweeps):

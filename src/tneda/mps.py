@@ -419,10 +419,10 @@ def canonicalize_split(
         raise ValueError("absorb must be 'left' or 'right'")
     chi_l, _, _, chi_r = theta.shape
     mat = theta.reshape(chi_l * 2, 2 * chi_r)
-    if not np.any(mat):
-        raise DegenerateModelError("cannot split an all-zero tensor")
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = int(np.sum(s >= cutoff * s[0]))
+    if s[0] == 0.0:  # the largest singular value is zero only for an all-zero tensor
+        raise DegenerateModelError("cannot split an all-zero tensor")
+    keep = np.count_nonzero(s >= cutoff * s[0])
     if chi_max is not None:
         keep = min(keep, int(chi_max))
     keep = max(keep, 1)

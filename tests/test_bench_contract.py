@@ -43,6 +43,22 @@ def test_tracer_installs_and_uninstalls():
     assert np.einsum is einsum
 
 
+def test_born_sweep_calls_traced_layers_per_pair():
+    # The per-layer metrics count the trainer's calls through these names;
+    # a fit that bypassed them would read zero there. One sweep over N sites
+    # visits 2N - 3 pairs.
+    bits = np.random.default_rng(0).integers(0, 2, size=(40, 8))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tneda.models.train_born_machine(bits, tneda.models.TrainConfig(0.05, 3, sweeps=1), rng=1)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("models.pair_nll_gradient") == 2 * 8 - 3
+    assert names.count("mps.canonicalize_split") == 2 * 8 - 3
+
+
 @pytest.mark.parametrize("script", ["workloads.py", "checks.py", "setup_probe.py"])
 def test_bench_imports_resolve(script):
     tree = ast.parse((BENCH / script).read_text())

@@ -360,6 +360,19 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 4
         assert "numerical error" in capsys.readouterr().err
 
+    def test_positive_trainer_failure_is_exit_4(self, tmp_path, capsys):
+        # The same run as above, held to the positive trainer's own message.
+        payload = {
+            "problem": {"kind": "onemax", "n_bits": 12},
+            "solver": {"preset": "TN3", "learning_rate": 1000.0, "generations": 50},
+            "seeds": [0],
+            "out": str(tmp_path / "results"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path)]) == 4
+        assert "numerical error: a training sample has zero value under the model" in capsys.readouterr().err
+
     def test_born_step_overflow_is_exit_4(self, tmp_path, capsys):
         # The first gradient step overflows the merged tensor of pair 0.
         payload = {

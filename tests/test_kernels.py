@@ -26,6 +26,7 @@ from tneda.models import (
     born_pair_environments,
     merge_pair,
     pair_nll_gradient,
+    pair_onehots,
     train_born_machine,
     train_positive_mps,
 )
@@ -230,7 +231,7 @@ class TestTraining:
         theta = rng.normal(size=(chi, 2, 2, chi + 1))
         lx, rx = rng.normal(size=(50, chi)), rng.normal(size=(50, chi + 1))
         xi, xj = rng.integers(0, 2, 50), rng.integers(0, 2, 50)
-        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, xi, xj)
+        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, pair_onehots(np.stack([xi, xj], axis=1))[0])
         ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx, rx, xi, xj)
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
@@ -244,7 +245,7 @@ class TestTraining:
         for got, ref in zip(envs, (refs[0].T, refs[1].T, *refs[2:])):
             assert_rel_close(got, ref)
         theta = merge_pair(m, 3)
-        nll, grad = pair_nll_gradient(theta, *envs[:2], bits[:, 3], bits[:, 4], *envs[2:])
+        nll, grad = pair_nll_gradient(theta, *envs[:2], pair_onehots(bits)[3], *envs[2:])
         ref_nll, ref_grad = oracle.pair_nll_gradient(theta, *refs[:2], bits[:, 3], bits[:, 4], *refs[2:])
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
@@ -272,7 +273,8 @@ class TestTraining:
         lx, rx = rng.normal(size=(40, chi)), rng.normal(size=(40, chi + 1))
         xi, xj = rng.integers(0, 2, 40), rng.integers(0, 2, 40)
         b = repeated_index(40, seed=chi)
-        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, xi, xj, w=np.bincount(b) / len(b))
+        onehot = pair_onehots(np.stack([xi, xj], axis=1))[0]
+        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, onehot, w=np.bincount(b) / len(b))
         ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx[b], rx[b], xi[b], xj[b])
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)

@@ -368,3 +368,29 @@ class TestCanonicalizeSplit:
     def test_rejects_all_zero(self):
         with pytest.raises(DegenerateModelError):
             canonicalize_split(np.zeros((2, 2, 2, 2)), chi_max=None, cutoff=0.0)
+
+    @pytest.mark.parametrize("absorb", ["left", "right"])
+    @pytest.mark.parametrize("chi_l", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("chi_r", [1, 2, 3, 4, 5])
+    def test_all_zero_message(self, chi_l, chi_r, absorb):
+        with pytest.raises(DegenerateModelError, match="^cannot split an all-zero tensor$"):
+            canonicalize_split(np.zeros((chi_l, 2, 2, chi_r)), chi_max=3, cutoff=1e-6, absorb=absorb)
+
+    def test_nan_entry_raises_linalg_error(self):
+        theta = np.random.default_rng(16).normal(size=(3, 2, 2, 3))
+        theta[1, 0, 1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            canonicalize_split(theta, chi_max=None, cutoff=1e-6)
+
+    @pytest.mark.parametrize("absorb", ["left", "right"])
+    def test_value_at_cutoff_is_kept(self, absorb):
+        # Singular values exactly 2, 1 and 0.5; at cutoff 0.25 the last one
+        # sits on the threshold, 0.25 * 2 == 0.5, and is kept.
+        mat = np.zeros((6, 4))
+        mat[0, 0], mat[3, 1], mat[5, 3] = 2.0, 1.0, 0.5
+        theta = mat.reshape(3, 2, 2, 2)
+        np.testing.assert_array_equal(np.linalg.svd(mat, compute_uv=False), [2.0, 1.0, 0.5, 0.0])
+        a, b = canonicalize_split(theta, chi_max=None, cutoff=0.25, absorb=absorb)
+        assert a.shape[2] == b.shape[0] == 3
+        a, b = canonicalize_split(theta, chi_max=None, cutoff=np.nextafter(0.25, 1.0), absorb=absorb)
+        assert a.shape[2] == b.shape[0] == 2
