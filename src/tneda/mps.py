@@ -19,6 +19,12 @@ a per-string rescale is an elementwise reduction over chi rows. A step
 takes its bits as a (1, B) mask "bit is 1", built for all sites once per
 call as ``(bits.T == 1)[:, None, :]``. Born-rule sampling carries one
 amplitude vector per sample, not ``v v^T``: O(chi^2) per sample and site.
+
+log Z and ancestral sampling share one right-to-left pass over the chain
+summed over all strings (:func:`_right_sum_envs`). Only :func:`_summed_chain`
+knows the encoding: a Born site sums into a (chi, chi) environment E as
+``sum_s T_s E T_s^T`` and weighs a step's left vectors w by ``w^T E w``; a
+first-power site sums into a vector e as ``(T_0 + T_1) e``, weighing w by ``e . w``.
 """
 
 from __future__ import annotations
@@ -157,35 +163,44 @@ def _gram_right(t: np.ndarray, env: np.ndarray) -> np.ndarray:
     return np.tensordot(np.tensordot(t, env, axes=(2, 0)), t, axes=([1, 2], [1, 2]))
 
 
-def log_partition_function(m: Mps) -> float:
-    """log Z by sequential transfer contraction, O(N chi^3).
+def _summed_chain(mode: EncodingMode):
+    """Right transfer, boundary and step weight of the chain summed over all strings.
 
-    Raises :class:`DegenerateModelError` when Z <= 0.
+    ``weight(env, w)`` turns a site's stacked left vectors w (2, chi_r, B) and
+    the right environment past the site into the marginals (2, B) of its bits.
     """
-    logscale = 0.0
-    if m.mode is EncodingMode.AMPLITUDE:
-        env = np.ones((1, 1))
-        for t in m.tensors:
-            env = _gram_left(env, t)
-            scale = np.abs(env).max()
-            if scale == 0.0:
-                raise DegenerateModelError("partition function is zero")
-            env /= scale
-            logscale += np.log(scale)
-        value = env[0, 0]
-    else:
-        env = np.ones(1)
-        for t in m.tensors:
-            env = env @ t.sum(axis=1)
-            scale = np.abs(env).max()
-            if scale == 0.0:
-                raise DegenerateModelError("partition function is zero")
-            env /= scale
-            logscale += np.log(scale)
-        value = env[0]
-    if value <= 0.0:
+    if mode is EncodingMode.AMPLITUDE:
+        return _gram_right, np.ones((1, 1)), lambda env, w: ((env @ w) * w).sum(axis=1)
+    return lambda t, env: t.sum(axis=1) @ env, np.ones(1), lambda env, w: env @ w
+
+
+def _right_sum_envs(m: Mps) -> tuple[list[np.ndarray], float]:
+    """Right environments of the summed chain, each scaled to largest entry 1, and log Z.
+
+    The logs of the scales add up to log Z. Raises :class:`DegenerateModelError` when Z <= 0.
+    """
+    transfer, env, _ = _summed_chain(m.mode)
+    envs = [env]
+    log_z = 0.0
+    for t in reversed(m.tensors):
+        env = transfer(t, env)
+        scale = np.abs(env).max()
+        if scale == 0.0:
+            raise DegenerateModelError("partition function is zero")
+        env /= scale
+        log_z += np.log(scale)
+        envs.append(env)
+    if env.flat[0] <= 0.0:
         raise DegenerateModelError("partition function is not positive")
-    return logscale + np.log(value)
+    return envs[::-1], log_z
+
+
+def log_partition_function(m: Mps) -> float:
+    """log Z by sequential transfer contraction, O(N chi^3); Z <= 0 raises :class:`DegenerateModelError`.
+
+    Runs right to left, in the same pass that gives the sampling environments.
+    """
+    return _right_sum_envs(m)[1]
 
 
 def partition_function(m: Mps) -> float:
@@ -244,33 +259,6 @@ def probability(m: Mps, x) -> np.ndarray | float:
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
-def _right_sum_envs(m: Mps) -> list[np.ndarray]:
-    """Right environments for ancestral sampling, normalized per site.
-
-    Only conditional ratios are used downstream, so each environment can
-    be rescaled freely.
-    """
-    n = m.n_sites
-    envs: list[np.ndarray] = [None] * (n + 1)
-    if m.mode is EncodingMode.AMPLITUDE:
-        envs[n] = np.ones((1, 1))
-        for i in range(n - 1, -1, -1):
-            env = _gram_right(m.tensors[i], envs[i + 1])
-            scale = np.abs(env).max()
-            if scale == 0.0:
-                raise DegenerateModelError("degenerate right environment while sampling")
-            envs[i] = env / scale
-    else:
-        envs[n] = np.ones(1)
-        for i in range(n - 1, -1, -1):
-            env = m.tensors[i].sum(axis=1) @ envs[i + 1]
-            scale = np.abs(env).max()
-            if scale == 0.0:
-                raise DegenerateModelError("degenerate right environment while sampling")
-            envs[i] = env / scale
-    return envs
-
-
 def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
     """Exact ancestral sampling via sequential conditional marginals.
 
@@ -278,57 +266,39 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
     ``probability(m, x)``; there is no Markov chain and no burn-in.
 
     Args:
-        m: model with Z > 0.
         rng: :class:`numpy.random.Generator` or an int seed.
         size: number of samples; ``None`` returns a single (N,) string,
             otherwise a (size, N) array.
 
     Returns:
         int8 array of bits.
+
+    Raises:
+        DegenerateModelError: Z <= 0, or a marginal vanishes while sampling.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     batch = 1 if size is None else int(size)
     if batch < 1:
         raise ValueError("size must be >= 1")
-    envs = _right_sum_envs(m)
-    n = m.n_sites
-    bits = np.empty((batch, n), dtype=np.int8)
-
-    if m.mode is EncodingMode.AMPLITUDE:
-        v = np.ones((1, batch))
-        weights = np.empty((2, batch))
-        for i, t in enumerate(m.tensors):
-            # p(s | prefix) is proportional to w_s env w_s with w_s = T[:, s, :]^T v
-            w = [t[:, 0, :].T @ v, t[:, 1, :].T @ v]
-            for s in (0, 1):
-                weights[s] = ((envs[i + 1].T @ w[s]) * w[s]).sum(axis=0)
-            np.maximum(weights, 0.0, out=weights)
-            total = weights[0] + weights[1]
-            if (total <= 0.0).any():
-                raise DegenerateModelError("zero conditional marginal while sampling")
-            drawn = rng.random(batch) < weights[1] / total
-            bits[:, i] = drawn
-            v = np.where(drawn, w[1], w[0])
-            scale = np.abs(v).max(axis=0)
-            if (scale == 0.0).any():
-                raise DegenerateModelError("zero left environment while sampling")
-            v /= scale
-    else:
-        left = np.ones((1, batch))
-        for i, t in enumerate(m.tensors):
-            weights = (t @ envs[i + 1]).T @ left  # (2, B)
-            np.maximum(weights, 0.0, out=weights)
-            total = weights[0] + weights[1]
-            if (total <= 0.0).any():
-                raise DegenerateModelError("zero conditional marginal while sampling")
-            drawn = rng.random(batch) < weights[1] / total
-            bits[:, i] = drawn
-            left = _left_step(left, t, drawn)
-            scale = np.abs(left).max(axis=0)
-            if (scale == 0.0).any():
-                raise DegenerateModelError("zero left environment while sampling")
-            left /= scale
-
+    envs, _ = _right_sum_envs(m)
+    weight = _summed_chain(m.mode)[2]
+    bits = np.empty((batch, m.n_sites), dtype=np.int8)
+    v = np.ones((1, batch))
+    for i, t in enumerate(m.tensors):
+        # w[s] = T[:, s, :]^T v for both bits in one product; p(s | prefix) ~ weight(env, w)[s]
+        w = np.ascontiguousarray(t.transpose(1, 2, 0)) @ v
+        weights = weight(envs[i + 1], w)
+        np.maximum(weights, 0.0, out=weights)
+        total = weights[0] + weights[1]
+        if (total <= 0.0).any():
+            raise DegenerateModelError("zero conditional marginal while sampling")
+        drawn = rng.random(batch) < weights[1] / total
+        bits[:, i] = drawn
+        v = np.where(drawn, w[1], w[0])
+        scale = np.abs(v).max(axis=0)
+        if (scale == 0.0).any():
+            raise DegenerateModelError("zero left environment while sampling")
+        v /= scale
     return bits[0] if size is None else bits
 
 

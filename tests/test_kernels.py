@@ -221,6 +221,7 @@ class TestSymmetricFold:
                 assert_rel_close(logp, expected)
             assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
             drawn = perfect_sample(net, np.random.default_rng(seed), size=200)
+            np.testing.assert_array_equal(drawn, oracle.perfect_sample(net, np.random.default_rng(seed), 200))
             assert np.isfinite(log_probability(net, drawn)).all()
 
 

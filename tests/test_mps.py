@@ -143,9 +143,13 @@ class TestPartitionFunction:
 
     def test_zero_network_degenerate(self):
         t = np.zeros((1, 2, 1))
-        m = Mps((t, t.copy()[..., :1]), EncodingMode.DIRECT_POSITIVE, 1)
-        with pytest.raises(DegenerateModelError):
-            partition_function(m)
+        zero = Mps((t, t.copy()[..., :1]), EncodingMode.DIRECT_POSITIVE, 1)
+        # Z = (1 - 3) * (1 + 1) = -4: no distribution, although one string has a positive value
+        negative = Mps((np.array([[[1.0], [-3.0]]]), np.ones((1, 2, 1))), EncodingMode.DIRECT, 1)
+        for m, message in ((zero, "is zero"), (negative, "is not positive")):
+            for entry in (partition_function, lambda m: perfect_sample(m, np.random.default_rng(0), size=5)):
+                with pytest.raises(DegenerateModelError, match=message):
+                    entry(m)
 
 
 class TestProbability:
