@@ -286,6 +286,10 @@ def build_solver(spec: dict) -> SolverPlan:
         alpha = float(merged.get("alpha_noise", 0.0))
         make_model = lambda: BornMachineSampler(train, alpha_noise=alpha)  # noqa: E731
     elif model_kind == "positive_mps":
+        # the positive update is incremental and takes one step per pair
+        for key, no_op in (("grad_steps_per_pair", 1), ("fresh_init", False)):
+            if merged.get(key, no_op) != no_op:
+                raise ConfigError(f"positive_mps does not use {key!r}: leave it out or set it to {no_op!r}")
         train = _train_config({**merged, "fresh_init": False})
         make_model = lambda: PositiveMpsSampler(train)  # noqa: E731
     elif model_kind == "chain_bayes":

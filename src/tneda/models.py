@@ -10,8 +10,9 @@ Three model families:
 * a chain Bayesian network (Markov chain over bits) fitted by smoothed
   maximum likelihood.
 
-Sweeps keep the chain in mixed-canonical form so the normalization at the
-active pair is exactly the Frobenius norm of the merged tensor.
+Born sweeps keep the chain in mixed-canonical form so the normalization at
+the active pair is exactly the Frobenius norm of the merged tensor; the
+positive trainer carries Z as an all-strings column (arXiv:1907.03741).
 
 The Born machine fits the empirical distribution of its training rows
 (Han et al., arXiv:1709.01662): its NLL is ``-sum_x w(x) log p(x)`` with
@@ -130,6 +131,13 @@ def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray
     return (lx @ scattered.T).reshape(lx.shape[0], 2, 2, chi_r)
 
 
+def _pair_amplitudes(theta: np.ndarray, lx: np.ndarray, rx: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Sum over the true codes of ``onehot`` (4, 1, n) of lx^T theta rx, one value per column."""
+    chi_l, _, _, chi_r = theta.shape
+    per_code = (theta.reshape(chi_l, 4 * chi_r).T @ lx).reshape(4, chi_r, lx.shape[1])
+    return np.where(onehot[:, 0], (per_code * rx).sum(axis=1), 0.0).sum(axis=0)
+
+
 def pair_nll_gradient(
     theta: np.ndarray,
     lx: np.ndarray,
@@ -165,10 +173,7 @@ def pair_nll_gradient(
     n = lx.shape[1]
     if w is None:
         w = np.full(n, 1.0 / n)
-    chi_l, _, _, chi_r = theta.shape
-    per_bits = (theta.reshape(chi_l, 4 * chi_r).T @ lx).reshape(4, chi_r, n)
-    # each column has one nonzero, so the sum picks its string's amplitude exactly
-    amps = np.where(onehot[:, 0], (per_bits * rx).sum(axis=1), 0.0).sum(axis=0)
+    amps = _pair_amplitudes(theta, lx, rx, onehot)
     safe = np.where(np.abs(amps) < _AMP_FLOOR, _AMP_FLOOR, amps)
 
     if la is None:
@@ -322,19 +327,19 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     return Mps(tuple(tensors), EncodingMode.AMPLITUDE, cfg.chi_max)
 
 
-# Direct-positive environments are nonnegative: a column's largest entry is its string's scale.
-def _normalize_columns(a: np.ndarray) -> np.ndarray:
-    scale = a.max(axis=0)
+def _sum_step(v: np.ndarray, t: np.ndarray, is_one: np.ndarray) -> np.ndarray:
+    """:func:`_left_step` of the positive trainer, each column scaled to largest entry 1.
+
+    The last column, the all-strings sum whose pair amplitude is Z, is
+    masked as bit 0 and also takes bit 1. Through ``t.transpose(2, 1, 0)``
+    it is :func:`_right_step` through ``t``, bit for bit.
+    """
+    out = _left_step(v, t, is_one)
+    out[:, -1] += t[:, 1, :].T @ v[:, -1]
+    scale = out.max(axis=0)  # environments are nonnegative: a column's largest entry is its scale
     if not scale.all():
         raise DegenerateModelError("a training sample has zero value under the model")
-    return a / scale
-
-
-def _normalize_vec(v: np.ndarray) -> np.ndarray:
-    scale = v.max()
-    if scale == 0.0:
-        raise DegenerateModelError("normalization vanished during training")
-    return v / scale
+    return out / scale
 
 
 def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
@@ -347,10 +352,10 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
     rate leaves the model untouched, so the update is genuinely
     incremental.
 
-    What does not change within a fit is built once per fit: the bit masks
-    of every site, the one-hots of every pair's codes ``2 x_i + x_{i+1}``
-    and the site sums ``T[:, 0, :] + T[:, 1, :]``; a step refreshes only
-    the sums of the two tensors it changes.
+    Z sums the chain over all strings, so every (chi, n + 1) environment
+    carries it as column n beside the rows, masked as bit 0 in a step that
+    also adds its bit-1 product; its pair amplitude is Z. The gradient's -Z
+    term is column n of the data product, weighted -1/Z at all four codes.
 
     Raises:
         DegenerateModelError: Z or a row's value vanished, or a step left a
@@ -365,31 +370,24 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
     if width < 2:
         raise ValueError("two-site training needs at least 2 sites")
     tensors = [t.copy() for t in init.tensors]
-    sums = [t.sum(axis=1) for t in tensors]
-    is_one = (bits.T == 1)[:, None, :]
-    onehots = pair_onehots(bits)
+    is_one = np.append(bits.T == 1, np.zeros((width, 1), dtype=bool), axis=1)[:, None, :]
+    onehots = np.append(pair_onehots(bits), np.ones((width - 1, 4, 1, 1), dtype=bool), axis=3)
+    column_scale = np.append(np.full(n, float(n)), -1.0)  # rows weigh 1/(n psi), the sum -1/Z
     lr = cfg.learning_rate
 
     for _ in range(cfg.sweeps):
-        rx, rsum = [None] * width + [np.ones((1, n))], [None] * width + [np.ones(1)]
+        rx = [None] * width + [np.ones((1, n + 1))]
         for j in range(width - 1, 1, -1):
-            rx[j] = _normalize_columns(_right_step(tensors[j], is_one[j], rx[j + 1]))
-            rsum[j] = _normalize_vec(sums[j] @ rsum[j + 1])
-        lx, lsum = [np.ones((1, n))] + [None] * (width - 1), [np.ones(1)] + [None] * (width - 1)
+            rx[j] = _sum_step(rx[j + 1], tensors[j].transpose(2, 1, 0), is_one[j])
+        lx = [np.ones((1, n + 1))] + [None] * (width - 1)
 
         for i, _, moving in _sweep_pair_schedule(width):
             ti, tj = tensors[i], tensors[i + 1]
-            mid = _left_step(lx[i], ti, is_one[i])
-            amps = (_left_step(mid, tj, is_one[i + 1]) * rx[i + 2]).sum(axis=0)
-            safe = np.maximum(amps, _AMP_FLOOR)
-
-            z = float(lsum[i] @ sums[i] @ sums[i + 1] @ rsum[i + 2])
-            if z <= 0.0:
+            amps = _pair_amplitudes(_merge(ti, tj), lx[i], rx[i + 2], onehots[i])
+            if amps[n] <= 0.0:
                 raise DegenerateModelError("normalization vanished during training")
-
-            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / safe, onehots[i])
-            grad_theta /= n
-            grad_theta -= lsum[i][:, None, None, None] * rsum[i + 2] / z
+            safe = np.maximum(amps, _AMP_FLOOR)
+            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / (safe * column_scale), onehots[i])
 
             # chain rule through theta = T_i T_j
             grad_flat = grad_theta.reshape(2 * ti.shape[0], 2 * tj.shape[2])
@@ -400,14 +398,11 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             # Entries are now nonnegative, +inf or NaN, so a finite largest entry means finite entries.
             if not (math.isfinite(tensors[i].max()) and math.isfinite(tensors[i + 1].max())):
                 raise DegenerateModelError(f"pair {i}: site tensor is non-finite after a gradient step")
-            sums[i], sums[i + 1] = tensors[i].sum(axis=1), tensors[i + 1].sum(axis=1)
 
             if moving == "right":
-                lx[i + 1] = _normalize_columns(_left_step(lx[i], tensors[i], is_one[i]))
-                lsum[i + 1] = _normalize_vec(lsum[i] @ sums[i])
+                lx[i + 1] = _sum_step(lx[i], tensors[i], is_one[i])
             else:
-                rx[i + 1] = _normalize_columns(_right_step(tensors[i + 1], is_one[i + 1], rx[i + 2]))
-                rsum[i + 1] = _normalize_vec(sums[i + 1] @ rsum[i + 2])
+                rx[i + 1] = _sum_step(rx[i + 2], tensors[i + 1].transpose(2, 1, 0), is_one[i + 1])
 
     return Mps(tuple(tensors), EncodingMode.DIRECT_POSITIVE, init.chi_max)
 

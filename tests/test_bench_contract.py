@@ -59,6 +59,22 @@ def test_born_sweep_calls_traced_layers_per_pair():
     assert names.count("mps.canonicalize_split") == 2 * 8 - 3
 
 
+def test_tn3_generation_is_one_fit_and_one_sample():
+    # tn3-knapsack's per-layer metrics divide by generations: each one must
+    # fit the positive MPS once and sample it once, through the traced names.
+    problem = tneda.experiment.build_problem({"kind": "onemax", "n_bits": 12})
+    tracer = Tracer()
+    tracer.install()
+    try:
+        records = tneda.experiment.run_single(problem, {"preset": "TN3", "generations": 5}, 1, None)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert len(records) == 5
+    assert names.count("models.train_positive_mps") == 5
+    assert names.count("mps.perfect_sample") == 5
+
+
 @pytest.mark.parametrize("script", ["workloads.py", "checks.py", "setup_probe.py"])
 def test_bench_imports_resolve(script):
     tree = ast.parse((BENCH / script).read_text())

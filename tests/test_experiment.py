@@ -91,6 +91,12 @@ class TestPresets:
         assert plan.cfg.population_update is PopulationUpdate.REPLACE_WITH_NEW_UNIQUE
         assert isinstance(plan.make_model(), PositiveMpsSampler)
 
+    @pytest.mark.parametrize("key, no_op, value", [("grad_steps_per_pair", 1, 3), ("fresh_init", False, True)])
+    def test_tn3_rejects_settings_it_would_ignore(self, key, no_op, value):
+        build_solver({"preset": "TN3", key: no_op})
+        with pytest.raises(ConfigError, match=key):
+            build_solver({"preset": "TN3", key: value})
+
     def test_bn_solvers(self):
         bn1 = build_solver({"preset": "BN1"})
         assert isinstance(bn1.make_model(), ChainBayesSampler)

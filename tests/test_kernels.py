@@ -8,7 +8,8 @@ oracle one per row, (B, chi), so environments cross as transposes.
 The Born trainer fits one weighted row per distinct string; the oracle
 keeps one row per copy, so agreement on data with repeated rows checks the
 weighting. Property tests check that the trainers stay finite or fail with
-:class:`DegenerateModelError`. A last test makes ``numpy.einsum`` raise to
+:class:`DegenerateModelError`, and that random positive-MPS fits match the
+oracle's, failures included. A last test makes ``numpy.einsum`` raise to
 keep it off the hot path.
 """
 
@@ -362,20 +363,40 @@ class TestTraining:
     def test_positive_fit_finite_or_typed_failure(
         self, n_sites, chi, learning_rate, sweeps, n_rows, density, copies, seed
     ):
+        # The library carries Z as one more environment column, the oracle in
+        # its own summed chain: both fit the same tensors or fail with the
+        # same message. The oracle does not check its steps, so where the
+        # library stops at a non-finite step the oracle's tensors reach Mps,
+        # which rejects them.
         rng = np.random.default_rng(seed)
-        bits = rng.random((n_rows, n_sites)) < density
+        bits = (rng.random((n_rows, n_sites)) < density).astype(np.int8)
         if copies:  # ten copies of one row: the TN3 late-run case
             bits = np.repeat(bits[:1], 10, axis=0)
         init = random_init(n_sites, chi, EncodingMode.DIRECT_POSITIVE, seed=seed)
         cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps, fresh_init=False)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = train_positive_mps(bits, cfg, init)
-        except DegenerateModelError:
+
+        def fit(train):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return train(bits, cfg, init)
+            except DegenerateModelError as err:
+                return str(err)
+            except ValueError as err:
+                assert str(err).endswith("non-finite entries")
+                return "non-finite"
+
+        m, ref = fit(train_positive_mps), fit(oracle.train_positive_mps)
+        if ref == "non-finite":
+            assert isinstance(m, str) and m.endswith("site tensor is non-finite after a gradient step")
+            return
+        if isinstance(m, str) or isinstance(ref, str):
+            assert m == ref
             return
         assert m.mode is EncodingMode.DIRECT_POSITIVE
         assert m.bond_dims == init.bond_dims
         assert all(np.all(np.isfinite(t)) and np.all(t >= 0) for t in m.tensors)
+        for t, r in zip(m.tensors, ref.tensors):
+            assert_rel_close(t, r)
 
     def test_positive_step_overflow_names_the_pair(self):
         # Rate 1 on 53 sparse rows overflows the tensors of pair 0 in the
