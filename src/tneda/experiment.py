@@ -63,89 +63,76 @@ _POPULATION = 1000
 _BUDGET = 60_000
 _T_MAX = _BUDGET // _POPULATION
 
-_TN_TRAIN = {
-    "chi": 2,
-    "learning_rate": 0.15,
-    "sweeps": 1,
-    "grad_steps_per_pair": 1,
-    "svd_cutoff": 1e-6,
-    "fresh_init": True,
+#: Every solver key and its default; a preset or a stanza overrides any of them.
+_SOLVER_DEFAULTS = {
+    "model": None,  # born, positive_mps, chain_bayes or crossover
+    "selection": None,  # boltzmann, tournament or greedy
+    # training (Born machine and positive MPS), Born noise, chain-Bayes smoothing
+    "chi": 2, "learning_rate": 0.15, "sweeps": 1, "svd_cutoff": 1e-6, "fresh_init": True,
+    "grad_steps_per_pair": 1, "alpha_noise": 0.0, "smoothing": 1.0,
+    # Boltzmann schedule (annealed or adaptive) and pool, tournament arity, greedy k
+    "schedule": "annealed", "t0": None, "t_max": None, "rank": 5, "ratio": 3.0, "pool_size": None,
+    "arity": 3, "top_k": 10,
+    # the loop
+    "n_parents": _POPULATION, "n_children": _POPULATION, "n_init": None, "generations": 4 * _T_MAX,
+    "mutation_rate": 0.0, "call_budget": _BUDGET, "population_update": "append", "elitism": False,
+    "target_objective": None, "diagnostics": None,
 }
+_TRAIN_KEYS = ("chi", "learning_rate", "sweeps", "svd_cutoff", "fresh_init", "grad_steps_per_pair")
+_DIAGNOSTICS_DEFAULTS = {"reference": {}, "mirror_rng": False}
 
-_GEO_COMMON = {
-    "selection": "boltzmann",
-    "schedule": "annealed",
-    "n_parents": _POPULATION,
-    "n_children": _POPULATION,
-    "n_init": _POPULATION,
-    "t_max": _T_MAX,
-    "generations": 4 * _T_MAX,
-    "call_budget": _BUDGET,
-    "population_update": "append",
-}
+_BOLTZMANN = {"selection": "boltzmann", "t_max": _T_MAX, "n_init": _POPULATION}
+_TOURNAMENT = {"selection": "tournament", "n_init": _POPULATION, "population_update": "replace"}
 
-#: The benchmark solver matrix; every number is frozen by the presets and
+#: The benchmark solver matrix, each preset as its changes to the defaults;
 #: any explicit field in the config overrides the preset value.
 SOLVER_PRESETS: dict[str, dict] = {
     # Born machine, Boltzmann over the best 1000 banked solutions, mutation
-    "TN1": {"model": "born", **_TN_TRAIN, **_GEO_COMMON, "pool_size": 1000, "mutation_rate": 0.01},
+    "TN1": {"model": "born", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01},
     # Born machine, Boltzmann over every unique banked solution, no mutation
-    "TN2": {"model": "born", **_TN_TRAIN, **_GEO_COMMON, "pool_size": None, "mutation_rate": 0.0},
+    "TN2": {"model": "born", **_BOLTZMANN},
     # incrementally updated positive MPS, greedy top 10 of 100 samples
     "TN3": {
-        "model": "positive_mps",
-        "chi": 2,
-        "learning_rate": 0.15,
-        "sweeps": 1,
-        "fresh_init": False,
-        "selection": "greedy",
-        "top_k": 10,
-        "n_parents": 10,
-        "n_children": 100,
-        "n_init": 100,
-        "generations": 2400,
-        "call_budget": _BUDGET,
-        "population_update": "replace",
-        "mutation_rate": 0.0,
+        "model": "positive_mps", "selection": "greedy", "n_parents": 10, "n_children": 100, "n_init": 100,
+        "generations": 2400, "population_update": "replace",
     },
     # chain Bayes networks, maximum likelihood each generation
-    "BN1": {"model": "chain_bayes", "smoothing": 1.0, **_GEO_COMMON, "pool_size": 1000, "mutation_rate": 0.01},
-    "BN2": {
-        "model": "chain_bayes",
-        "smoothing": 1.0,
-        "selection": "tournament",
-        "arity": 3,
-        "n_parents": _POPULATION,
-        "n_children": _POPULATION,
-        "n_init": _POPULATION,
-        "generations": 4 * _T_MAX,
-        "call_budget": _BUDGET,
-        "population_update": "replace",
-        "mutation_rate": 0.0,
-    },
+    "BN1": {"model": "chain_bayes", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01},
+    "BN2": {"model": "chain_bayes", **_TOURNAMENT},
     # genetic algorithms with two-point crossover at rate 1
     "GA1": {
-        "model": "crossover",
-        **_GEO_COMMON,
-        "pool_size": 1000,
-        "mutation_rate": 0.01,
-        "population_update": "replace",
-        "elitism": True,
+        "model": "crossover", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01,
+        "population_update": "replace", "elitism": True,
     },
-    "GA2": {
-        "model": "crossover",
-        "selection": "tournament",
-        "arity": 3,
-        "n_parents": _POPULATION,
-        "n_children": _POPULATION,
-        "n_init": _POPULATION,
-        "generations": 4 * _T_MAX,
-        "call_budget": _BUDGET,
-        "population_update": "replace",
-        "elitism": True,
-        "mutation_rate": 0.0,
-    },
+    "GA2": {"model": "crossover", **_TOURNAMENT, "elitism": True},
 }
+
+_PROBLEM_KEYS = {
+    "onemax": ("n_bits",),
+    "trap": ("n_blocks",),
+    "knapsack": ("path",),
+    "knapsack_random": ("n_bits", "seed"),
+    "maxsat": ("path",),
+    "portfolio": ("path", "mode", "n_min", "n_max", "penalty_c", "ward_ordering"),
+    "portfolio_random": ("n_assets", "seed", "n_min", "n_max", "penalty_c", "ward_ordering"),
+}
+_CONFIG_KEYS = ("problem", "solver", "seeds", "out", "optimum")  # all but the last are required
+
+
+def _known(name, valid, what: str):
+    """``name`` if it is one of ``valid``; else a ConfigError naming the nearest."""
+    if isinstance(name, str) and name in valid:
+        return name
+    import difflib  # only on this error path: the import costs about 1.6 ms
+
+    near = difflib.get_close_matches(str(name), valid, n=1)
+    hint = f"did you mean {near[0]!r}?" if near else f"have {', '.join(sorted(valid))}"
+    raise ConfigError(f"unknown {what} {name!r} ({hint})")
+
+
+def _check_keys(stanza: dict, valid, what: str) -> None:
+    for key in stanza:
+        _known(key, valid, f"{what} key")
 
 
 @dataclass
@@ -168,15 +155,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir=None) -> "ExperimentConfig":
-        for key in ("problem", "solver", "seeds", "out"):
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        _check_keys(raw, _CONFIG_KEYS, "config")
+        for key in _CONFIG_KEYS[:4]:
             if key not in raw:
                 raise ConfigError(f"config is missing the {key!r} key")
+        for key in ("problem", "solver"):
+            if not isinstance(raw[key], dict):
+                raise ConfigError(f"{key!r} must be an object, got {raw[key]!r}")
         seeds = raw["seeds"]
-        if isinstance(seeds, dict):
-            seeds = list(range(int(seeds["start"]), int(seeds["start"]) + int(seeds["count"])))
-        seeds = [int(s) for s in seeds]
+        try:
+            if isinstance(seeds, dict) and seeds.keys() == {"start", "count"}:
+                seeds = range(int(seeds["start"]), int(seeds["start"]) + int(seeds["count"]))
+            seeds = [int(s) for s in seeds] if isinstance(seeds, (list, tuple, range)) else []
+        except (TypeError, ValueError):
+            seeds = []
         if not seeds:
-            raise ConfigError("need at least one seed")
+            raise ConfigError(
+                f"'seeds' must be a nonempty list of integers or {{'start': s, 'count': n}}, got {raw['seeds']!r}"
+            )
         problem = dict(raw["problem"])
         if base_dir is not None and "path" in problem:
             problem["path"] = str((Path(base_dir) / problem["path"]).resolve())
@@ -191,7 +189,8 @@ class ExperimentConfig:
 
 def build_problem(spec: dict):
     """Problem instance from its config stanza."""
-    kind = spec.get("kind")
+    kind = _known(spec.get("kind"), _PROBLEM_KEYS, "problem kind")
+    _check_keys(spec, ("kind", *_PROBLEM_KEYS[kind]), f"{kind} problem")
     try:
         if kind == "onemax":
             return OneMax(int(spec["n_bits"]))
@@ -203,27 +202,24 @@ def build_problem(spec: dict):
             return random_knapsack(int(spec["n_bits"]), spec.get("seed", 0))
         if kind == "maxsat":
             return parse_dimacs_cnf(Path(spec["path"]).read_text())
-        if kind in ("portfolio", "portfolio_random"):
-            if kind == "portfolio":
-                sigma = load_covariance_csv(
-                    Path(spec["path"]).read_text(), spec.get("mode", "covariance")
-                )
-            else:
-                sigma = random_covariance(int(spec["n_assets"]), spec.get("seed", 0))
-            if spec.get("ward_ordering", True):
-                perm = order_assets(sigma)
-                sigma = sigma[np.ix_(perm, perm)]
-            return PortfolioProblem(
-                sigma,
-                n_min=int(spec["n_min"]),
-                n_max=int(spec["n_max"]),
-                penalty_c=float(spec.get("penalty_c", 100.0)),
-            )
+        if kind == "portfolio":
+            mode = _known(spec.get("mode", "covariance"), ("covariance", "returns"), "portfolio mode")
+            sigma = load_covariance_csv(Path(spec["path"]).read_text(), mode)
+        else:
+            sigma = random_covariance(int(spec["n_assets"]), spec.get("seed", 0))
+        if spec.get("ward_ordering", True):
+            perm = order_assets(sigma)
+            sigma = sigma[np.ix_(perm, perm)]
+        return PortfolioProblem(
+            sigma,
+            n_min=int(spec["n_min"]),
+            n_max=int(spec["n_max"]),
+            penalty_c=float(spec.get("penalty_c", 100.0)),
+        )
     except KeyError as exc:
         raise ConfigError(f"problem kind {kind!r} is missing field {exc}") from None
     except FileNotFoundError as exc:
         raise ConfigError(f"problem file not readable: {exc}") from None
-    raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def resolve_optimum(problem, requested) -> float | None:
@@ -254,95 +250,96 @@ class SolverPlan:
     make_reference: callable | None = None
 
 
-def _merged_solver_spec(spec: dict) -> dict:
-    spec = dict(spec)
-    preset = spec.pop("preset", None)
-    if preset is None:
-        return spec
-    if preset not in SOLVER_PRESETS:
-        raise ConfigError(f"unknown solver preset {preset!r} (have {sorted(SOLVER_PRESETS)})")
-    merged = dict(SOLVER_PRESETS[preset])
-    merged.update(spec)
-    return merged
-
-
-def _train_config(spec: dict) -> TrainConfig:
+def _train_config(s: dict) -> TrainConfig:
     return TrainConfig(
-        learning_rate=float(spec.get("learning_rate", 0.15)),
-        chi_max=int(spec.get("chi", 2)),
-        sweeps=int(spec.get("sweeps", 1)),
-        svd_cutoff=float(spec.get("svd_cutoff", 1e-6)),
-        fresh_init=bool(spec.get("fresh_init", True)),
-        grad_steps_per_pair=int(spec.get("grad_steps_per_pair", 1)),
+        learning_rate=float(s["learning_rate"]),
+        chi_max=int(s["chi"]),
+        sweeps=int(s["sweeps"]),
+        svd_cutoff=float(s["svd_cutoff"]),
+        fresh_init=bool(s["fresh_init"]),
+        grad_steps_per_pair=int(s["grad_steps_per_pair"]),
     )
 
 
 def build_solver(spec: dict) -> SolverPlan:
-    """Expand a solver stanza (preset plus overrides, or explicit fields)."""
-    merged = _merged_solver_spec(spec)
-    model_kind = merged.get("model")
+    """Expand a solver stanza (preset plus overrides, or explicit fields).
+
+    Stanza over preset over ``_SOLVER_DEFAULTS``; an unknown key or kind, or
+    a value a constructor rejects, is a ConfigError.
+    """
+    given = dict(spec)
+    preset = given.pop("preset", None)
+    if preset is not None:
+        given = {**SOLVER_PRESETS[_known(preset, SOLVER_PRESETS, "solver preset")], **given}
+    _check_keys(given, _SOLVER_DEFAULTS, "solver")
+    s = {**_SOLVER_DEFAULTS, **given}
+    try:
+        return _solver_plan(s, given)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad solver value: {exc}") from None
+
+
+def _solver_plan(s: dict, given: dict) -> SolverPlan:
+    model_kind = _known(s["model"], ("born", "positive_mps", "chain_bayes", "crossover"), "model kind")
     if model_kind == "born":
-        train = _train_config(merged)
-        alpha = float(merged.get("alpha_noise", 0.0))
+        train = _train_config(s)
+        alpha = float(s["alpha_noise"])
         make_model = lambda: BornMachineSampler(train, alpha_noise=alpha)  # noqa: E731
     elif model_kind == "positive_mps":
-        # the positive update is incremental and takes one step per pair
+        # the positive update is incremental and takes one step per pair;
+        # the check reads what the stanza and preset give, not the defaults
         for key, no_op in (("grad_steps_per_pair", 1), ("fresh_init", False)):
-            if merged.get(key, no_op) != no_op:
+            if key in given and given[key] != no_op:
                 raise ConfigError(f"positive_mps does not use {key!r}: leave it out or set it to {no_op!r}")
-        train = _train_config({**merged, "fresh_init": False})
+        train = _train_config({**s, "fresh_init": False})
         make_model = lambda: PositiveMpsSampler(train)  # noqa: E731
     elif model_kind == "chain_bayes":
-        smoothing = float(merged.get("smoothing", 1.0))
+        smoothing = float(s["smoothing"])
         make_model = lambda: ChainBayesSampler(smoothing)  # noqa: E731
-    elif model_kind == "crossover":
-        make_model = CrossoverSampler
     else:
-        raise ConfigError(f"unknown model kind {model_kind!r}")
+        make_model = CrossoverSampler
 
-    selection_kind = merged.get("selection")
+    selection_kind = _known(s["selection"], ("boltzmann", "tournament", "greedy"), "selection kind")
     if selection_kind == "boltzmann":
-        if merged.get("schedule", "annealed") == "annealed":
-            schedule = AnnealedSchedule(t0=merged.get("t0"), t_max=merged.get("t_max"))
+        if _known(s["schedule"], ("annealed", "adaptive"), "schedule") == "annealed":
+            schedule = AnnealedSchedule(t0=s["t0"], t_max=s["t_max"])
         else:
-            schedule = AdaptiveGapSchedule(
-                rank=int(merged.get("rank", 5)), ratio=float(merged.get("ratio", 3.0))
-            )
-        pool = merged.get("pool_size")
+            schedule = AdaptiveGapSchedule(rank=int(s["rank"]), ratio=float(s["ratio"]))
+        pool = s["pool_size"]
         selection = BoltzmannSelection(schedule, None if pool is None else int(pool))
     elif selection_kind == "tournament":
-        selection = TournamentSelection(int(merged.get("arity", 3)))
-    elif selection_kind == "greedy":
-        selection = GreedyTopK(int(merged.get("top_k", 10)))
+        selection = TournamentSelection(int(s["arity"]))
     else:
-        raise ConfigError(f"unknown selection kind {selection_kind!r}")
+        selection = GreedyTopK(int(s["top_k"]))
 
     update = {"append": PopulationUpdate.APPEND_TO_BANK, "replace": PopulationUpdate.REPLACE_WITH_NEW_UNIQUE}
-    update_key = merged.get("population_update", "append")
-    if update_key not in update:
-        raise ConfigError(f"unknown population update {update_key!r}")
     cfg = EdaConfig(
-        n_parents=int(merged.get("n_parents", _POPULATION)),
-        n_children=int(merged.get("n_children", _POPULATION)),
-        generations=int(merged.get("generations", 4 * _T_MAX)),
-        mutation_rate=float(merged.get("mutation_rate", 0.0)),
-        call_budget=int(merged.get("call_budget", _BUDGET)),
-        population_update=update[update_key],
-        n_init=None if merged.get("n_init") is None else int(merged["n_init"]),
-        elitism=bool(merged.get("elitism", False)),
-        target_objective=(
-            None if merged.get("target_objective") is None else float(merged["target_objective"])
-        ),
+        n_parents=int(s["n_parents"]),
+        n_children=int(s["n_children"]),
+        generations=int(s["generations"]),
+        mutation_rate=float(s["mutation_rate"]),
+        call_budget=int(s["call_budget"]),
+        population_update=update[_known(s["population_update"], update, "population update")],
+        n_init=None if s["n_init"] is None else int(s["n_init"]),
+        elitism=bool(s["elitism"]),
+        target_objective=None if s["target_objective"] is None else float(s["target_objective"]),
     )
 
-    diagnostics = merged.get("diagnostics")
-    make_reference = None
-    if diagnostics:
+    diagnostics = make_reference = None
+    if s["diagnostics"]:
+        _check_keys(s["diagnostics"], _DIAGNOSTICS_DEFAULTS, "diagnostics")
+        diagnostics = {**_DIAGNOSTICS_DEFAULTS, **s["diagnostics"]}
+        _check_keys(diagnostics["reference"], (*_TRAIN_KEYS, "alpha_noise"), "diagnostics.reference")
         if model_kind != "born":
             raise ConfigError("KL diagnostics are supported for the Born-machine model")
-        ref_over = diagnostics.get("reference", {})
-        ref_train = _train_config({**merged, **ref_over})
-        ref_alpha = float(ref_over.get("alpha_noise", 0.0))  # bystander is noiseless by default
+        if selection_kind != "boltzmann":
+            raise ConfigError("KL diagnostics require Boltzmann selection")
+        # the bystander takes the primary's training, but no noise unless given
+        ref = {**s, "alpha_noise": _SOLVER_DEFAULTS["alpha_noise"], **diagnostics["reference"]}
+        ref_train = _train_config(ref)
+        ref_alpha = float(ref["alpha_noise"])
         make_reference = lambda: BornMachineSampler(ref_train, alpha_noise=ref_alpha)  # noqa: E731
     return SolverPlan(make_model, selection, cfg, diagnostics, make_reference)
 
@@ -433,7 +430,7 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
             plan.selection,
             plan.cfg,
             rng=seed,
-            mirror_reference_rng=bool(plan.diagnostics.get("mirror_rng", False)),
+            mirror_reference_rng=bool(plan.diagnostics["mirror_rng"]),
             observer=clock,
         )
         records = result.records

@@ -1,8 +1,10 @@
 """Harness tests: presets, record files, determinism, summaries, CLI."""
 
 import csv
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,20 @@ import pytest
 
 from tneda.cli import main, parse_seed_spec
 from tneda.evolve import (
+    AnnealedSchedule,
     BoltzmannSelection,
+    BornMachineSampler,
     ChainBayesSampler,
     CrossoverSampler,
+    EdaConfig,
     GreedyTopK,
     PopulationUpdate,
     PositiveMpsSampler,
     TournamentSelection,
 )
 from tneda.experiment import (
+    _DIAGNOSTICS_DEFAULTS,
+    _SOLVER_DEFAULTS,
     SOLVER_PRESETS,
     SUMMARY_FIELDS,
     ConfigError,
@@ -31,6 +38,7 @@ from tneda.experiment import (
     validate_record,
     write_summary_csv,
 )
+from tneda.models import TrainConfig
 
 
 def fast_config(tmp_path, seeds=(0, 1), solver_extra=None, problem=None, optimum="auto"):
@@ -113,6 +121,52 @@ class TestPresets:
         with pytest.raises(ConfigError, match="preset"):
             build_solver({"preset": "TN9"})
 
+    def test_presets_build_pinned_objects(self):
+        # Every loop, training and selection setting of each preset, written
+        # out in full, so a preset or default that drifts shows up here.
+        append, replace = PopulationUpdate.APPEND_TO_BANK, PopulationUpdate.REPLACE_WITH_NEW_UNIQUE
+
+        def loop(**changes):
+            return EdaConfig(**{
+                "n_parents": 1000, "n_children": 1000, "generations": 240, "mutation_rate": 0.0,
+                "call_budget": 60_000, "population_update": append, "n_init": 1000, "elitism": False,
+                "target_objective": None, **changes,
+            })
+
+        def annealed(pool_size):
+            return BoltzmannSelection(AnnealedSchedule(t0=None, t_max=60), pool_size)
+
+        born = {"train_cfg": TrainConfig(0.15, 2, sweeps=1, svd_cutoff=1e-6, fresh_init=True, grad_steps_per_pair=1),
+                "alpha_noise": 0.0}
+        positive = {"train_cfg": dataclasses.replace(born["train_cfg"], fresh_init=False)}
+        pinned = {
+            "TN1": (loop(mutation_rate=0.01), annealed(1000), BornMachineSampler, born),
+            "TN2": (loop(), annealed(None), BornMachineSampler, born),
+            "TN3": (
+                loop(n_parents=10, n_children=100, generations=2400, population_update=replace, n_init=100),
+                GreedyTopK(10), PositiveMpsSampler, positive,
+            ),
+            "BN1": (loop(mutation_rate=0.01), annealed(1000), ChainBayesSampler, {"smoothing": 1.0}),
+            "BN2": (loop(population_update=replace), TournamentSelection(3), ChainBayesSampler, {"smoothing": 1.0}),
+            "GA1": (
+                loop(mutation_rate=0.01, population_update=replace, elitism=True), annealed(1000),
+                CrossoverSampler, {},
+            ),
+            "GA2": (loop(population_update=replace, elitism=True), TournamentSelection(3), CrossoverSampler, {}),
+        }
+        assert set(pinned) == set(SOLVER_PRESETS)
+        for name, (cfg, selection, model_type, settings) in pinned.items():
+            plan = build_solver({"preset": name})
+            model = plan.make_model()
+            assert (plan.cfg, plan.selection, type(model)) == (cfg, selection, model_type), name
+            assert {k: v for k, v in vars(model).items() if k not in ("model", "_parents")} == settings, name
+            assert plan.diagnostics is None and plan.make_reference is None
+
+    def test_explicit_positive_mps_builds(self):
+        # fresh_init defaults to true, but the restriction reads only given values
+        plan = build_solver({"model": "positive_mps", "selection": "greedy"})
+        assert plan.make_model().train_cfg.fresh_init is False
+
     def test_diagnostics_reference(self):
         plan = build_solver(
             {"preset": "TN1", "diagnostics": {"reference": {"chi": 20}}}
@@ -141,6 +195,12 @@ class TestBuildProblem:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_problem({"kind": "tsp"})
+
+    def test_unknown_key_or_mode_names_the_nearest(self):
+        with pytest.raises(ConfigError, match="did you mean 'n_max'"):
+            build_problem({"kind": "portfolio_random", "n_assets": 6, "n_min": 2, "n_maxx": 4})
+        with pytest.raises(ConfigError, match="did you mean 'returns'"):
+            build_problem({"kind": "portfolio", "path": "unread.csv", "mode": "retruns", "n_min": 2, "n_max": 4})
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -393,3 +453,74 @@ class TestCli:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", str(path)]) == 4
         assert "numerical error: pair 0: merged tensor is non-finite" in capsys.readouterr().err
+
+
+class TestStrictConfig:
+    """A key, kind or value the harness does not know stops the run with exit 2."""
+
+    def run_cli(self, tmp_path, capsys, solver=(), problem=(), top=()):
+        payload = {
+            "problem": {"kind": "onemax", "n_bits": 12, **dict(problem)},
+            "solver": {"preset": "TN1", "n_parents": 20, "n_children": 20, "n_init": 20, "generations": 2,
+                       **dict(solver)},
+            "seeds": [0],
+            "out": str(tmp_path / "results"),
+            **dict(top),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code = main(["run", "--config", str(path)])
+        assert not (tmp_path / "results").exists()  # rejected before anything ran
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, typo, nearest", [
+        ({"solver": {"learning_rat": 0.9}}, "learning_rat", "learning_rate"),
+        ({"solver": {"chii": 7}}, "chii", "chi"),
+        ({"solver": {"mutaton_rate": 0.5}}, "mutaton_rate", "mutation_rate"),
+        ({"solver": {"diagnostics": {"referense": {"chi": 20}}}}, "referense", "reference"),
+        ({"solver": {"diagnostics": {"reference": {"chii": 20}}}}, "chii", "chi"),
+        ({"problem": {"nbits_typo": 3}}, "nbits_typo", "n_bits"),
+        ({"top": {"optimun": 0}}, "optimun", "optimum"),
+        ({"solver": {"schedule": "adaptve"}}, "adaptve", "adaptive"),
+    ])
+    def test_misspelling_exits_2_naming_it(self, tmp_path, capsys, change, typo, nearest):
+        code, err = self.run_cli(tmp_path, capsys, **change)
+        assert code == 2
+        assert f"'{typo}'" in err and f"did you mean '{nearest}'" in err
+
+    @pytest.mark.parametrize("solver, message", [
+        ({"chi": 0}, "chi_max must be >= 1"),
+        ({"mutation_rate": 2}, "mutation_rate must lie in [0, 1]"),
+        ({"preset": "GA2", "arity": 0}, "arity must be >= 1"),
+        ({"chi": "two"}, "invalid literal"),
+        ({"selection": "tournament", "diagnostics": {"reference": {}}}, "KL diagnostics require Boltzmann selection"),
+    ])
+    def test_rejected_value_exits_2(self, tmp_path, capsys, solver, message):
+        code, err = self.run_cli(tmp_path, capsys, solver=solver)
+        assert code == 2
+        assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("top, field", [
+        ({"seeds": {"begin": 0, "count": 2}}, "'seeds'"),
+        ({"seeds": "0..3"}, "'seeds'"),
+        ({"seeds": []}, "'seeds'"),
+        ({"problem": "onemax"}, "'problem'"),
+        ({"solver": "TN1"}, "'solver'"),
+    ])
+    def test_malformed_top_level_field_exits_2(self, tmp_path, capsys, top, field):
+        code, err = self.run_cli(tmp_path, capsys, top=top)
+        assert code == 2
+        assert err.startswith("config error: ") and field in err
+
+    def test_seed_range_form(self):
+        config = ExperimentConfig.from_dict(
+            {"problem": {"kind": "onemax", "n_bits": 4}, "solver": {"preset": "TN1"},
+             "seeds": {"start": 3, "count": 2}, "out": "unused"}
+        )
+        assert config.seeds == [3, 4]
+
+    def test_readme_lists_every_solver_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Solver stanzas take", 1)[1].split("\n\n", 1)[0]
+        listed = set(re.findall(r"`([a-z_.0-9]+)`", paragraph))
+        assert listed == {"preset", *_SOLVER_DEFAULTS, *(f"diagnostics.{key}" for key in _DIAGNOSTICS_DEFAULTS)}
