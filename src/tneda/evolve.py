@@ -1,11 +1,11 @@
 """The estimation-of-distribution loop and its operators.
 
 One generation: pick a temperature, select parents (Boltzmann over the
-historical bank, tournament over the current population, or greedy top-k
-of the latest samples), fit or update the generative model, sample
-children, mutate them, evaluate the ones never seen before, and record
-telemetry. The function-call budget counts distinct evaluated strings;
-duplicates never consume budget.
+historical bank, or tournament or greedy top-k over the population, the
+last generation's evaluated children), fit or update the generative
+model, sample children, mutate them, evaluate the ones never seen before,
+and record telemetry. The function-call budget counts distinct evaluated
+strings; duplicates never consume budget.
 
 A plain genetic algorithm fits the same loop with two-point crossover
 standing in for the generative model.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import repeat
 from typing import Callable
 
@@ -60,10 +59,10 @@ def top_k_indices(values, k: int) -> np.ndarray:
 
 
 def top_k_pool(pool, k: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(strings, values) of the k best pool entries, ties by position.
+    """(strings, values) of the k best entries of a (strings, values) pool.
 
-    ``pool`` is a :class:`SolutionBank` or a (strings, values) pair; ``k``
-    ``None`` (or at least the pool size) keeps the whole pool unchanged.
+    Ties go by position; ``k`` ``None`` (or at least the pool size) keeps
+    the whole pool unchanged.
     """
     strings, values = _pool_arrays(pool)
     if k is not None and k < strings.shape[0]:
@@ -199,7 +198,7 @@ def annealed_temperature(t0: float, t: int, t_max: int) -> float:
     return float(t0 ** (1.0 - min(t, t_max) / t_max))
 
 
-def adaptive_temperature(bank, rank: int = 5, ratio: float = 3.0) -> float:
+def adaptive_temperature(values, rank: int = 5, ratio: float = 3.0) -> float:
     """Gap-based temperature: T = (f(x_rank) - f(x_1)) / log(ratio).
 
     Makes the rank-th best solution 1/ratio as likely as the best under
@@ -212,7 +211,7 @@ def adaptive_temperature(bank, rank: int = 5, ratio: float = 3.0) -> float:
         raise ValueError("rank must be >= 2")
     if ratio <= 1:
         raise ValueError("ratio must be > 1")
-    values = bank.values if isinstance(bank, SolutionBank) else np.asarray(bank, dtype=float)
+    values = np.asarray(values, dtype=float)
     values = np.sort(values[np.isfinite(values)])
     if values.size == 0:
         raise DegenerateBankError("no finite objectives in bank")
@@ -232,6 +231,12 @@ class AnnealedSchedule:
 
     t0: float | None = None
     t_max: int | None = None  # None: resolved to the run's generation count
+
+    def __post_init__(self):
+        if self.t0 is not None and not self.t0 > 0:
+            raise ValueError("t0 must be positive")
+        if self.t_max is not None and self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
 
     def temperature(self, bank: SolutionBank, generation: int, cfg: EdaConfig) -> float:
         """T at ``generation`` (from 1); T0 and t_max default from the run.
@@ -254,10 +259,16 @@ class AdaptiveGapSchedule:
     rank: int = 5
     ratio: float = 3.0
 
+    def __post_init__(self):
+        if self.rank < 2:
+            raise ValueError("rank must be >= 2")
+        if not self.ratio > 1:
+            raise ValueError("ratio must be > 1")
+
     def temperature(self, bank: SolutionBank, generation: int, cfg: EdaConfig) -> float:
         """The gap temperature of the bank, floored at :data:`TEMPERATURE_FLOOR`."""
         try:
-            return max(adaptive_temperature(bank, self.rank, self.ratio), TEMPERATURE_FLOOR)
+            return max(adaptive_temperature(bank.values, self.rank, self.ratio), TEMPERATURE_FLOOR)
         except DegenerateBankError:
             return TEMPERATURE_FLOOR
 
@@ -280,15 +291,19 @@ class BoltzmannSelection:
     schedule: AnnealedSchedule | AdaptiveGapSchedule = field(default_factory=AnnealedSchedule)
     pool_size: int | None = None
 
+    def __post_init__(self):
+        if self.pool_size is not None and self.pool_size < 1:
+            raise ValueError("pool_size must be >= 1")
+
     def select(self, bank: SolutionBank, population, generation: int, cfg: EdaConfig, rng):
         temperature = self.schedule.temperature(bank, generation, cfg)
-        pool = top_k_pool(bank, self.pool_size)
+        pool = top_k_pool((bank.strings, bank.values), self.pool_size)
         return boltzmann_select(pool, cfg.n_parents, temperature, rng), temperature, pool
 
 
 @dataclass(frozen=True)
 class TournamentSelection:
-    """Tournaments of ``arity`` over the working population."""
+    """Tournaments of ``arity`` over the population (the last generation's children)."""
 
     arity: int = 3
 
@@ -302,7 +317,7 @@ class TournamentSelection:
 
 @dataclass(frozen=True)
 class GreedyTopK:
-    """Keep the k best of the current generation's samples (no history)."""
+    """Keep the k best of the population (the last generation's children)."""
 
     k: int
 
@@ -330,8 +345,8 @@ def boltzmann_select(pool, n: int, temperature: float, rng=None) -> np.ndarray:
     """n iid draws (with replacement) from the Boltzmann distribution.
 
     Args:
-        pool: :class:`SolutionBank` or a (strings, values) pair; restrict
-            it with :func:`top_k_pool` first to draw from the best k.
+        pool: (strings, values) pair; restrict it with :func:`top_k_pool`
+            first to draw from the best k.
         n: number of parents to draw.
         temperature: positive temperature.
         rng: generator or seed.
@@ -367,11 +382,8 @@ def greedy_select(samples, values, k: int) -> np.ndarray:
 
 
 def _pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
-    """(strings, values) of a bank or a pair; an empty pool is rejected."""
-    if isinstance(pool, SolutionBank):
-        strings, values = pool.strings, pool.values
-    else:
-        strings, values = np.asarray(pool[0]), np.asarray(pool[1], dtype=np.float64)
+    """(strings, values) arrays of a pair; an empty pool is rejected."""
+    strings, values = np.asarray(pool[0]), np.asarray(pool[1], dtype=np.float64)
     if strings.shape[0] == 0:
         raise ValueError("empty selection pool")
     return strings, values
@@ -401,6 +413,8 @@ class BornMachineSampler:
     """
 
     def __init__(self, train_cfg: TrainConfig, alpha_noise: float = 0.0):
+        if not alpha_noise >= 0:
+            raise ValueError("alpha_noise must be >= 0")
         self.train_cfg = train_cfg
         self.alpha_noise = alpha_noise
         self.model = None
@@ -439,6 +453,8 @@ class ChainBayesSampler:
     """Chain Bayesian network refitted by (smoothed) MLE each generation."""
 
     def __init__(self, smoothing: float = 1.0):
+        if not smoothing >= 0:
+            raise ValueError("smoothing must be >= 0")
         self.smoothing = smoothing
         self.model = None
 
@@ -486,23 +502,18 @@ class CrossoverSampler:
 # --- the loop -------------------------------------------------------------------
 
 
-class PopulationUpdate(Enum):
-    #: the bank is the population; children only extend it
-    APPEND_TO_BANK = "append_to_bank"
-    #: children replace the working population wholesale each generation
-    REPLACE_WITH_NEW_UNIQUE = "replace_with_new_unique"
-
-
 @dataclass(frozen=True)
 class EdaConfig:
     """Loop sizes and policies.
 
-    ``n_init`` random solutions seed the bank (defaults to ``n_children``);
-    the run stops when the count of distinct evaluations reaches
-    ``call_budget`` or after ``generations`` generations, whichever comes
-    first. ``elitism`` keeps the best-so-far solution in a replaced
-    population. A run with a known optimum may set ``target_objective``
-    to stop early once the best banked objective reaches it.
+    ``n_init`` random solutions (defaults to ``n_children``, below
+    ``call_budget``) seed the bank and the population; the run stops when
+    the count of distinct evaluations reaches ``call_budget`` or after
+    ``generations`` generations, whichever comes first. Each generation's
+    children with known values become the population, and ``elitism`` puts
+    the best-so-far in place of the worst when none is as good. A run with
+    a known optimum may set ``target_objective`` to stop early once the
+    best banked objective reaches it.
     """
 
     n_parents: int
@@ -510,7 +521,6 @@ class EdaConfig:
     generations: int
     mutation_rate: float = 0.0
     call_budget: int = 60_000
-    population_update: PopulationUpdate = PopulationUpdate.APPEND_TO_BANK
     n_init: int | None = None
     elitism: bool = False
     target_objective: float | None = None
@@ -524,6 +534,8 @@ class EdaConfig:
             raise ValueError("call_budget must be positive")
         if self.n_init is not None and self.n_init < 1:
             raise ValueError("n_init must be >= 1")
+        if self.call_budget <= (self.n_init or self.n_children):
+            raise ValueError("call_budget must exceed the initial population size")
 
 
 @dataclass(frozen=True)
@@ -588,9 +600,7 @@ def run_eda(
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     n_bits = problem.n_bits
-    n_init = cfg.n_init if cfg.n_init is not None else cfg.n_children
-    if cfg.call_budget <= n_init:
-        raise ValueError("call_budget must exceed the initial population size")
+    n_init = cfg.n_init or cfg.n_children
 
     bank = SolutionBank(n_bits)
     init_strings = rng.integers(0, 2, size=(n_init, n_bits), dtype=np.int8)
@@ -615,24 +625,16 @@ def run_eda(
             children, problem.evaluate_batch, cfg.call_budget - len(bank), generation
         )
 
-        if cfg.population_update is PopulationUpdate.REPLACE_WITH_NEW_UNIQUE:
-            known = ~np.isnan(child_values)
-            pop_strings = children[known]
-            pop_values = child_values[known]
-            if cfg.elitism and len(bank) and pop_strings.shape[0]:
-                best_bits, best_value = bank.best()
-                if pop_values.min() > best_value:
-                    worst = int(pop_values.argmax())
-                    pop_strings = pop_strings.copy()
-                    pop_values = pop_values.copy()
-                    pop_strings[worst] = best_bits
-                    pop_values[worst] = best_value
-            if pop_strings.shape[0]:
-                population = (pop_strings, pop_values)
-
-        _, best_value = bank.best()
-        known_values = child_values[~np.isnan(child_values)]
-        median_value = float(np.median(known_values)) if known_values.size else math.nan
+        best_bits, best_value = bank.best()
+        median_value = math.nan
+        known = ~np.isnan(child_values)
+        if known.any():  # masking copies, so the elite may overwrite in place
+            pop_strings, pop_values = children[known], child_values[known]
+            median_value = float(np.median(pop_values))
+            if cfg.elitism and pop_values.min() > best_value:
+                worst = int(pop_values.argmax())
+                pop_strings[worst], pop_values[worst] = best_bits, best_value
+            population = (pop_strings, pop_values)
         record = RunRecord(
             generation=generation,
             best_objective=best_value,

@@ -32,7 +32,6 @@ from .evolve import (
     CrossoverSampler,
     EdaConfig,
     GreedyTopK,
-    PopulationUpdate,
     PositiveMpsSampler,
     TournamentSelection,
     run_eda,
@@ -75,14 +74,14 @@ _SOLVER_DEFAULTS = {
     "arity": 3, "top_k": 10,
     # the loop
     "n_parents": _POPULATION, "n_children": _POPULATION, "n_init": None, "generations": 4 * _T_MAX,
-    "mutation_rate": 0.0, "call_budget": _BUDGET, "population_update": "append", "elitism": False,
-    "target_objective": None, "diagnostics": None,
+    "mutation_rate": 0.0, "call_budget": _BUDGET, "elitism": False, "target_objective": None,
+    "diagnostics": None,
 }
 _TRAIN_KEYS = ("chi", "learning_rate", "sweeps", "svd_cutoff", "fresh_init", "grad_steps_per_pair")
 _DIAGNOSTICS_DEFAULTS = {"reference": {}, "mirror_rng": False}
 
 _BOLTZMANN = {"selection": "boltzmann", "t_max": _T_MAX, "n_init": _POPULATION}
-_TOURNAMENT = {"selection": "tournament", "n_init": _POPULATION, "population_update": "replace"}
+_TOURNAMENT = {"selection": "tournament", "n_init": _POPULATION}
 
 #: The benchmark solver matrix, each preset as its changes to the defaults;
 #: any explicit field in the config overrides the preset value.
@@ -94,16 +93,13 @@ SOLVER_PRESETS: dict[str, dict] = {
     # incrementally updated positive MPS, greedy top 10 of 100 samples
     "TN3": {
         "model": "positive_mps", "selection": "greedy", "n_parents": 10, "n_children": 100, "n_init": 100,
-        "generations": 2400, "population_update": "replace",
+        "generations": 2400,
     },
     # chain Bayes networks, maximum likelihood each generation
     "BN1": {"model": "chain_bayes", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01},
     "BN2": {"model": "chain_bayes", **_TOURNAMENT},
     # genetic algorithms with two-point crossover at rate 1
-    "GA1": {
-        "model": "crossover", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01,
-        "population_update": "replace", "elitism": True,
-    },
+    "GA1": {"model": "crossover", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01, "elitism": True},
     "GA2": {"model": "crossover", **_TOURNAMENT, "elitism": True},
 }
 
@@ -250,6 +246,10 @@ class SolverPlan:
     make_reference: callable | None = None
 
 
+def _optional(convert, value):
+    return None if value is None else convert(value)
+
+
 def _train_config(s: dict) -> TrainConfig:
     return TrainConfig(
         learning_rate=float(s["learning_rate"]),
@@ -300,31 +300,29 @@ def _solver_plan(s: dict, given: dict) -> SolverPlan:
         make_model = lambda: ChainBayesSampler(smoothing)  # noqa: E731
     else:
         make_model = CrossoverSampler
+    make_model()  # a sampler checks its settings when built
 
     selection_kind = _known(s["selection"], ("boltzmann", "tournament", "greedy"), "selection kind")
     if selection_kind == "boltzmann":
         if _known(s["schedule"], ("annealed", "adaptive"), "schedule") == "annealed":
-            schedule = AnnealedSchedule(t0=s["t0"], t_max=s["t_max"])
+            schedule = AnnealedSchedule(t0=_optional(float, s["t0"]), t_max=_optional(int, s["t_max"]))
         else:
             schedule = AdaptiveGapSchedule(rank=int(s["rank"]), ratio=float(s["ratio"]))
-        pool = s["pool_size"]
-        selection = BoltzmannSelection(schedule, None if pool is None else int(pool))
+        selection = BoltzmannSelection(schedule, _optional(int, s["pool_size"]))
     elif selection_kind == "tournament":
         selection = TournamentSelection(int(s["arity"]))
     else:
         selection = GreedyTopK(int(s["top_k"]))
 
-    update = {"append": PopulationUpdate.APPEND_TO_BANK, "replace": PopulationUpdate.REPLACE_WITH_NEW_UNIQUE}
     cfg = EdaConfig(
         n_parents=int(s["n_parents"]),
         n_children=int(s["n_children"]),
         generations=int(s["generations"]),
         mutation_rate=float(s["mutation_rate"]),
         call_budget=int(s["call_budget"]),
-        population_update=update[_known(s["population_update"], update, "population update")],
-        n_init=None if s["n_init"] is None else int(s["n_init"]),
+        n_init=_optional(int, s["n_init"]),
         elitism=bool(s["elitism"]),
-        target_objective=None if s["target_objective"] is None else float(s["target_objective"]),
+        target_objective=_optional(float, s["target_objective"]),
     )
 
     diagnostics = make_reference = None
@@ -341,6 +339,7 @@ def _solver_plan(s: dict, given: dict) -> SolverPlan:
         ref_train = _train_config(ref)
         ref_alpha = float(ref["alpha_noise"])
         make_reference = lambda: BornMachineSampler(ref_train, alpha_noise=ref_alpha)  # noqa: E731
+        make_reference()
     return SolverPlan(make_model, selection, cfg, diagnostics, make_reference)
 
 
@@ -453,10 +452,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     Returns a manifest with the written paths.
     """
     problem = build_problem(config.problem)
-    plan = build_solver(config.solver)  # early validation of the solver stanza
-    n_init = plan.cfg.n_init if plan.cfg.n_init is not None else plan.cfg.n_children
-    if plan.cfg.call_budget <= n_init:
-        raise ConfigError("call_budget must exceed the initial population size")
+    build_solver(config.solver)  # early validation of the solver stanza
     optimum = resolve_optimum(problem, config.optimum)
 
     out = Path(config.out_dir)

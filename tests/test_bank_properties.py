@@ -16,7 +16,6 @@ from tneda.evolve import (
     CrossoverSampler,
     EdaConfig,
     GreedyTopK,
-    PopulationUpdate,
     SolutionBank,
     TournamentSelection,
     run_eda,
@@ -95,7 +94,7 @@ def test_top_k_matches_stable_argsort(data):
     if values.size:
         # a pool no larger than k is kept whole, in bank order
         keep = want if k < values.size else np.arange(values.size)
-        strings, pool_values = top_k_pool(bank, k)
+        strings, pool_values = top_k_pool((bank.strings, bank.values), k)
         np.testing.assert_array_equal(strings, bank.strings[keep])
         np.testing.assert_array_equal(pool_values, values[keep])
 
@@ -117,15 +116,11 @@ class CountingProblem:
         return self.problem.evaluate_batch(x)
 
 
-POLICIES = {
-    "boltzmann-annealed": (BoltzmannSelection(AnnealedSchedule()), ChainBayesSampler, PopulationUpdate.APPEND_TO_BANK),
-    "boltzmann-adaptive-pool": (
-        BoltzmannSelection(AdaptiveGapSchedule(rank=3), pool_size=7),
-        CrossoverSampler,
-        PopulationUpdate.REPLACE_WITH_NEW_UNIQUE,
-    ),
-    "tournament": (TournamentSelection(3), CrossoverSampler, PopulationUpdate.REPLACE_WITH_NEW_UNIQUE),
-    "greedy": (GreedyTopK(5), ChainBayesSampler, PopulationUpdate.REPLACE_WITH_NEW_UNIQUE),
+POLICIES = {  # selection, model, elitism
+    "boltzmann-annealed": (BoltzmannSelection(AnnealedSchedule()), ChainBayesSampler, False),
+    "boltzmann-adaptive-pool": (BoltzmannSelection(AdaptiveGapSchedule(rank=3), pool_size=7), CrossoverSampler, True),
+    "tournament": (TournamentSelection(3), CrossoverSampler, True),
+    "greedy": (GreedyTopK(5), ChainBayesSampler, True),
 }
 
 
@@ -139,7 +134,7 @@ POLICIES = {
     mutation_rate=st.sampled_from([0.0, 0.05, 0.3]),
 )
 def test_no_string_evaluated_twice(policy, seed, n_bits, n_children, extra_budget, mutation_rate):
-    selection, make_model, update = POLICIES[policy]
+    selection, make_model, elitism = POLICIES[policy]
     problem = CountingProblem(OneMax(n_bits))
     cfg = EdaConfig(
         n_parents=n_children,
@@ -147,8 +142,7 @@ def test_no_string_evaluated_twice(policy, seed, n_bits, n_children, extra_budge
         generations=12,
         mutation_rate=mutation_rate,
         call_budget=n_children + extra_budget,
-        population_update=update,
-        elitism=update is PopulationUpdate.REPLACE_WITH_NEW_UNIQUE,
+        elitism=elitism,
     )
     records = run_eda(problem, make_model(), selection, cfg, rng=seed)
     distinct = len(problem.seen)

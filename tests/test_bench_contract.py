@@ -75,6 +75,27 @@ def test_tn3_generation_is_one_fit_and_one_sample():
     assert names.count("mps.perfect_sample") == 5
 
 
+@pytest.mark.parametrize("stanza", [
+    {"preset": "BN1"},
+    {"preset": "BN2"},
+    {"model": "chain_bayes", "selection": "greedy"},
+])
+def test_generation_is_one_select(stanza):
+    # evolve.select_s sums the traced boltzmann_select, tournament_select
+    # and greedy_select spans: each selection kind must call one per generation.
+    problem = tneda.experiment.build_problem({"kind": "onemax", "n_bits": 12})
+    sizes = {"n_parents": 20, "n_children": 20, "n_init": 20, "generations": 4, "call_budget": 4000}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        records = tneda.experiment.run_single(problem, {**stanza, **sizes}, 1, None)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert len(records) == 4
+    assert names.count("evolve.select") == 4
+
+
 @pytest.mark.parametrize("script", ["workloads.py", "checks.py", "setup_probe.py"])
 def test_bench_imports_resolve(script):
     tree = ast.parse((BENCH / script).read_text())

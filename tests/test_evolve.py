@@ -16,7 +16,6 @@ from tneda.evolve import (
     DegenerateBankError,
     EdaConfig,
     GreedyTopK,
-    PopulationUpdate,
     PositiveMpsSampler,
     SolutionBank,
     TournamentSelection,
@@ -219,8 +218,11 @@ class TestAdaptiveTemperature:
             adaptive_temperature(np.full(10, 4.0), rank=5, ratio=3.0)
 
     def test_accepts_bank(self):
+        # the schedule hands the bank's values to the gap formula
         bank = make_bank([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        assert adaptive_temperature(bank, 5, 3.0) == pytest.approx(4.0 / math.log(3.0))
+        expected = 4.0 / math.log(3.0)
+        assert adaptive_temperature(bank.values, 5, 3.0) == pytest.approx(expected)
+        assert AdaptiveGapSchedule(5, 3.0).temperature(bank, 1, None) == pytest.approx(expected)
 
 
 class TestBoltzmannSelection:
@@ -238,7 +240,7 @@ class TestBoltzmannSelection:
 
     def test_infinite_temperature_uniform(self):
         bank = make_bank([0.0, 5.0, 10.0, 20.0], n_bits=5)
-        picks = boltzmann_select(bank, 50_000, 1e12, np.random.default_rng(0))
+        picks = boltzmann_select((bank.strings, bank.values), 50_000, 1e12, np.random.default_rng(0))
         keys = [row.tobytes() for row in bank.strings]
         counts = np.array([sum(row.tobytes() == k for row in picks) for k in keys])
         expected = 50_000 / 4
@@ -247,7 +249,7 @@ class TestBoltzmannSelection:
 
     def test_matches_analytic_softmax(self):
         bank = make_bank([0.0, 0.35, 1.1], n_bits=6)
-        picks = boltzmann_select(bank, 1_000_000, 0.5, np.random.default_rng(3))
+        picks = boltzmann_select((bank.strings, bank.values), 1_000_000, 0.5, np.random.default_rng(3))
         keys = [row.tobytes() for row in bank.strings]
         counts = {k: 0 for k in keys}
         for row in picks:
@@ -257,13 +259,14 @@ class TestBoltzmannSelection:
 
     def test_pool_restriction(self):
         bank = make_bank([5.0, 1.0, 3.0, 0.0], n_bits=5)
-        picks = boltzmann_select(top_k_pool(bank, 2), 2000, 1e9, rng=np.random.default_rng(1))
+        pool = top_k_pool((bank.strings, bank.values), 2)
+        picks = boltzmann_select(pool, 2000, 1e9, rng=np.random.default_rng(1))
         allowed = {bank.strings[1].tobytes(), bank.strings[3].tobytes()}
         assert all(row.tobytes() in allowed for row in picks)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            boltzmann_select(SolutionBank(3), 5, 1.0, np.random.default_rng(0))
+            boltzmann_select((np.empty((0, 3), np.int8), np.empty(0)), 5, 1.0, np.random.default_rng(0))
 
 
 class TestTournament:
@@ -490,7 +493,6 @@ class TestRunEda:
             n_children=50,
             n_init=50,
             mutation_rate=0.0,
-            population_update=PopulationUpdate.REPLACE_WITH_NEW_UNIQUE,
         )
         model = PositiveMpsSampler(TrainConfig(learning_rate=0.15, chi_max=2, fresh_init=False))
         records = run_eda(problem, model, GreedyTopK(10), cfg, rng=3)
@@ -501,7 +503,6 @@ class TestRunEda:
         problem = random_knapsack(16, seed=0)
         cfg = quick_config(
             mutation_rate=0.0,
-            population_update=PopulationUpdate.REPLACE_WITH_NEW_UNIQUE,
             elitism=True,
         )
         records = run_eda(problem, CrossoverSampler(), TournamentSelection(3), cfg, rng=4)

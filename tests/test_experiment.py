@@ -19,9 +19,9 @@ from tneda.evolve import (
     CrossoverSampler,
     EdaConfig,
     GreedyTopK,
-    PopulationUpdate,
     PositiveMpsSampler,
     TournamentSelection,
+    run_eda,
 )
 from tneda.experiment import (
     _DIAGNOSTICS_DEFAULTS,
@@ -39,6 +39,7 @@ from tneda.experiment import (
     write_summary_csv,
 )
 from tneda.models import TrainConfig
+from tneda.problems import random_knapsack
 
 
 def fast_config(tmp_path, seeds=(0, 1), solver_extra=None, problem=None, optimum="auto"):
@@ -96,7 +97,6 @@ class TestPresets:
         assert isinstance(plan.selection, GreedyTopK)
         assert plan.selection.k == 10
         assert plan.cfg.n_children == 100
-        assert plan.cfg.population_update is PopulationUpdate.REPLACE_WITH_NEW_UNIQUE
         assert isinstance(plan.make_model(), PositiveMpsSampler)
 
     @pytest.mark.parametrize("key, no_op, value", [("grad_steps_per_pair", 1, 3), ("fresh_init", False, True)])
@@ -124,12 +124,10 @@ class TestPresets:
     def test_presets_build_pinned_objects(self):
         # Every loop, training and selection setting of each preset, written
         # out in full, so a preset or default that drifts shows up here.
-        append, replace = PopulationUpdate.APPEND_TO_BANK, PopulationUpdate.REPLACE_WITH_NEW_UNIQUE
-
         def loop(**changes):
             return EdaConfig(**{
                 "n_parents": 1000, "n_children": 1000, "generations": 240, "mutation_rate": 0.0,
-                "call_budget": 60_000, "population_update": append, "n_init": 1000, "elitism": False,
+                "call_budget": 60_000, "n_init": 1000, "elitism": False,
                 "target_objective": None, **changes,
             })
 
@@ -143,16 +141,16 @@ class TestPresets:
             "TN1": (loop(mutation_rate=0.01), annealed(1000), BornMachineSampler, born),
             "TN2": (loop(), annealed(None), BornMachineSampler, born),
             "TN3": (
-                loop(n_parents=10, n_children=100, generations=2400, population_update=replace, n_init=100),
+                loop(n_parents=10, n_children=100, generations=2400, n_init=100),
                 GreedyTopK(10), PositiveMpsSampler, positive,
             ),
             "BN1": (loop(mutation_rate=0.01), annealed(1000), ChainBayesSampler, {"smoothing": 1.0}),
-            "BN2": (loop(population_update=replace), TournamentSelection(3), ChainBayesSampler, {"smoothing": 1.0}),
+            "BN2": (loop(), TournamentSelection(3), ChainBayesSampler, {"smoothing": 1.0}),
             "GA1": (
-                loop(mutation_rate=0.01, population_update=replace, elitism=True), annealed(1000),
+                loop(mutation_rate=0.01, elitism=True), annealed(1000),
                 CrossoverSampler, {},
             ),
-            "GA2": (loop(population_update=replace, elitism=True), TournamentSelection(3), CrossoverSampler, {}),
+            "GA2": (loop(elitism=True), TournamentSelection(3), CrossoverSampler, {}),
         }
         assert set(pinned) == set(SOLVER_PRESETS)
         for name, (cfg, selection, model_type, settings) in pinned.items():
@@ -173,6 +171,55 @@ class TestPresets:
         )
         assert plan.make_reference().train_cfg.chi_max == 20
         assert plan.make_reference().alpha_noise == 0.0
+
+
+class _Spy:
+    """Forwards to ``inner`` and keeps a copy of what each call saw or made."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.populations, self.samples = [], []
+
+    def select(self, bank, population, generation, cfg, rng):
+        self.populations.append((population[0].copy(), population[1].copy()))
+        return self.inner.select(bank, population, generation, cfg, rng)
+
+    def fit(self, parents, rng):
+        self.inner.fit(parents, rng)
+
+    def sample(self, n, rng):
+        self.samples.append(self.inner.sample(n, rng))
+        return self.samples[-1]
+
+
+class TestPopulation:
+    @pytest.mark.parametrize("elitism", [False, True])
+    @pytest.mark.parametrize("stanza", [
+        {"model": "crossover", "selection": "tournament"},
+        {"model": "chain_bayes", "selection": "greedy", "top_k": 5},
+    ])
+    def test_selection_reads_the_last_generation(self, stanza, elitism):
+        # generation g selects from generation g - 1's evaluated children,
+        # the elite in place of the worst when none of them is as good
+        plan = build_solver({**stanza, "n_parents": 10, "n_children": 20, "n_init": 20, "generations": 8,
+                             "call_budget": 10_000, "elitism": elitism})
+        problem = random_knapsack(16, seed=0)
+        selection, model, best = _Spy(plan.selection), _Spy(plan.make_model()), []
+        records = run_eda(problem, model, selection, plan.cfg, rng=3, observer=lambda ctx: best.append(ctx.bank.best()))
+        assert len(records) == 8
+        elite_used = 0
+        for generation in range(2, 9):
+            children = model.samples[generation - 2].copy()
+            values = problem.evaluate_batch(children)
+            best_bits, best_value = best[generation - 2]
+            if elitism and values.min() > best_value:
+                worst = int(values.argmax())
+                children[worst], values[worst] = best_bits, best_value
+                elite_used += 1
+            strings, pool_values = selection.populations[generation - 1]
+            np.testing.assert_array_equal(strings, children)
+            np.testing.assert_array_equal(pool_values, values)
+        assert elite_used > 0 if elitism else elite_used == 0
 
 
 class TestBuildProblem:
@@ -494,6 +541,16 @@ class TestStrictConfig:
         ({"preset": "GA2", "arity": 0}, "arity must be >= 1"),
         ({"chi": "two"}, "invalid literal"),
         ({"selection": "tournament", "diagnostics": {"reference": {}}}, "KL diagnostics require Boltzmann selection"),
+        ({"t0": -1}, "t0 must be positive"),
+        ({"t_max": 0}, "t_max must be >= 1"),
+        ({"t_max": "abc"}, "invalid literal"),
+        ({"schedule": "adaptive", "rank": 1}, "rank must be >= 2"),
+        ({"schedule": "adaptive", "ratio": 1}, "ratio must be > 1"),
+        ({"pool_size": 0}, "pool_size must be >= 1"),
+        ({"preset": "BN1", "smoothing": -1}, "smoothing must be >= 0"),
+        ({"alpha_noise": -1}, "alpha_noise must be >= 0"),
+        ({"diagnostics": {"reference": {"alpha_noise": -1}}}, "alpha_noise must be >= 0"),
+        ({"population_update": "replace"}, "unknown solver key 'population_update'"),
     ])
     def test_rejected_value_exits_2(self, tmp_path, capsys, solver, message):
         code, err = self.run_cli(tmp_path, capsys, solver=solver)
