@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -459,6 +458,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(problem, config.solver, seed, optimum) for seed in config.seeds]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing, about 13 ms
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             by_seed = dict(pool.map(_run_seed_task, tasks))
         results = [(seed, by_seed[seed]) for seed in config.seeds]

@@ -155,12 +155,14 @@ def _right_step(t: np.ndarray, is_one: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _gram_left(env: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_s T[:, s, :]^T env T[:, s, :], the Born left transfer, (chi_r, chi_r)."""
-    return np.tensordot(np.tensordot(env, t, axes=(0, 0)), t, axes=([0, 1], [0, 1]))
+    chi_r = t.shape[2]
+    return (env.T @ t.reshape(t.shape[0], -1)).reshape(-1, chi_r).T @ t.reshape(-1, chi_r)
 
 
 def _gram_right(t: np.ndarray, env: np.ndarray) -> np.ndarray:
     """sum_s T[:, s, :] env T[:, s, :]^T, the Born right transfer, (chi_l, chi_l)."""
-    return np.tensordot(np.tensordot(t, env, axes=(2, 0)), t, axes=([1, 2], [1, 2]))
+    chi_l = t.shape[0]
+    return (t.reshape(-1, t.shape[2]) @ env).reshape(chi_l, -1) @ t.reshape(chi_l, -1).T
 
 
 def _summed_chain(mode: EncodingMode):

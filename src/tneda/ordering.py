@@ -88,6 +88,8 @@ def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
+    if not np.isfinite(dist).all():
+        raise ValueError("distances must be finite")
     if np.abs(dist - dist.T).max() > 1e-9:
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(dist)) > 1e-12):
@@ -104,6 +106,11 @@ def ward_linkage(dist) -> LinkageTree:
     by the lowest pair of node ids) and distances to the new cluster
     follow d(u, vw)^2 = ((|v|+|u|) d(u,v)^2 + (|w|+|u|) d(u,w)^2
     - |u| d(v,w)^2) / (|u|+|v|+|w|).
+
+    The active slots hold node ids in increasing order: kept slots keep
+    their order and the new cluster, whose id is the largest, goes last.
+    So the first minimum of the upper triangle in row-major order is the
+    lowest pair of ids, and one ``argmin`` applies the tie rule.
     """
     dist = _check_distance_matrix(dist)
     n = dist.shape[0]
@@ -122,17 +129,13 @@ def ward_linkage(dist) -> LinkageTree:
 
     for step in range(n - 1):
         m = len(ids)
-        best = None
-        for a in range(m):
-            for b in range(a + 1, m):
-                key = (work[a, b], min(ids[a], ids[b]), max(ids[a], ids[b]))
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
+        upper_a, upper_b = np.triu_indices(m, 1)
+        k = int(np.argmin(work[upper_a, upper_b]))
+        a, b = int(upper_a[k]), int(upper_b[k])
         id_a, id_b = ids[a], ids[b]
         size_a, size_b = sizes[id_a], sizes[id_b]
         new_id = n + step
-        merges[step] = (min(id_a, id_b), max(id_a, id_b))
+        merges[step] = (id_a, id_b)
         heights[step] = work[a, b]
         out_sizes[step] = size_a + size_b
         sizes[new_id] = size_a + size_b

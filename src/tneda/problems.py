@@ -306,6 +306,7 @@ def load_covariance_csv(text: str, mode: str = "covariance") -> np.ndarray:
     ``covariance`` mode expects a square matrix (symmetrized by averaging;
     asymmetry above 1e-6 rejected); ``returns`` mode expects a T x N table
     of observations and computes the sample covariance (T - 1 denominator).
+    A non-numeric or non-finite cell raises :class:`ParseError` naming its line.
     """
     rows = []
     width = None
@@ -318,6 +319,8 @@ def load_covariance_csv(text: str, mode: str = "covariance") -> np.ndarray:
             row = [float(c) for c in cells]
         except ValueError:
             raise ParseError("non-numeric cell", lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError("non-finite cell", lineno)
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -4,7 +4,9 @@ These are the library's kernels as they were before the contraction core
 moved to fixed matmul steps: the same algorithms, step for step, but each
 contraction spelled as an einsum over gathered ``(chi_l, B, chi_r)``
 selections. The kernel-agreement tests compare the library against them
-to about 1e-12 relative.
+to about 1e-12 relative. ``gram_left`` and ``gram_right`` keep the Born
+transfers' nested ``np.tensordot`` form, which the library's matmul form
+must equal exactly.
 
 Environments are kept one string per row, (B, chi), as the kernels were
 written then. The helpers below are the oracle's own copies, not imports
@@ -52,6 +54,16 @@ def _sweep_pair_schedule(n_sites):
 
 def _select(t, bits_col):
     return t[:, bits_col, :]
+
+
+def gram_left(env, t):
+    """sum_s T[:, s, :]^T env T[:, s, :] as nested tensordots."""
+    return np.tensordot(np.tensordot(env, t, axes=(0, 0)), t, axes=([0, 1], [0, 1]))
+
+
+def gram_right(t, env):
+    """sum_s T[:, s, :] env T[:, s, :]^T as nested tensordots."""
+    return np.tensordot(np.tensordot(t, env, axes=(2, 0)), t, axes=([1, 2], [1, 2]))
 
 
 def log_partition_function(m):

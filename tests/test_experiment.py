@@ -459,6 +459,26 @@ class TestCli:
         code = main(["summarize", "--in", str(tmp_path / "void"), "--out", str(tmp_path / "s.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_covariance_is_exit_3(self, tmp_path, capsys, cell):
+        # A symmetric non-finite pair passes the asymmetry check, so the
+        # parser must name it before the run makes its output directory.
+        rows = [["0.04", "0.01", "0.0", "0.0"], ["0.01", "0.05", "0.0", "0.0"],
+                ["0.0", "0.0", "0.06", cell], ["0.0", "0.0", cell, "0.03"]]
+        csv_path = tmp_path / "sigma.csv"
+        csv_path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        payload = {
+            "problem": {"kind": "portfolio", "path": str(csv_path), "n_min": 1, "n_max": 3},
+            "solver": {"preset": "TN1", "n_parents": 20, "n_children": 20, "n_init": 20, "generations": 2},
+            "seeds": [0],
+            "out": str(tmp_path / "results"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "input error: line 3: non-finite cell" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_numerical_failure_is_exit_4(self, tmp_path, capsys):
         # Huge projected steps clamp so many entries to zero that a parent
         # gets zero value, and training raises DegenerateModelError mid-run.

@@ -35,6 +35,8 @@ from tneda.mps import (
     DegenerateModelError,
     EncodingMode,
     Mps,
+    _gram_left,
+    _gram_right,
     apply_diffusion,
     log_partition_function,
     log_probability,
@@ -122,6 +124,18 @@ class TestScoring:
         drawn = perfect_sample(m, np.random.default_rng(chi))
         assert drawn.shape == (9,)
         np.testing.assert_array_equal(drawn, oracle.perfect_sample(m, np.random.default_rng(chi), 1)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(chi_l=st.integers(1, 8), chi_r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_gram_transfers_equal_tensordot(chi_l, chi_r, seed):
+    # The matmul forms compute the same products in the same order as the
+    # nested tensordots, so equality is exact, not approximate.
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(chi_l, 2, chi_r))
+    env_l, env_r = rng.normal(size=(chi_l, chi_l)), rng.normal(size=(chi_r, chi_r))
+    np.testing.assert_array_equal(_gram_left(env_l, t), oracle.gram_left(env_l, t))
+    np.testing.assert_array_equal(_gram_right(t, env_r), oracle.gram_right(t, env_r))
 
 
 @pytest.mark.parametrize("chi", CHIS)

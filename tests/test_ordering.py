@@ -1,10 +1,13 @@
-"""Ward clustering and leaf ordering, validated against scipy's linkage."""
+"""Ward clustering and leaf ordering, validated against scipy's linkage and the pairwise-scan oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
+from ward_oracle import reference_ward_linkage
 from tneda.ordering import (
     LinkageTree,
     correlation_distance,
@@ -83,6 +86,43 @@ class TestWardLinkage:
         with pytest.raises(ValueError):
             ward_linkage(np.array([[0.1, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # argmin would pick a NaN as the closest pair.
+        dist = random_distance_matrix(4, 0)
+        tree = ward_linkage(dist)
+        dist[1, 2] = dist[2, 1] = bad
+        with pytest.raises(ValueError, match="distances must be finite"):
+            ward_linkage(dist)
+        with pytest.raises(ValueError, match="distances must be finite"):
+            leaf_order(tree, dist)
+
+
+def tied_distance_matrix(n, seed, kind):
+    """Euclidean, quantized (many ties) or all-equal distances over n points."""
+    if kind == "euclidean":
+        return random_distance_matrix(n, seed)
+    if kind == "all_equal":
+        return np.full((n, n), 0.25) - 0.25 * np.eye(n)
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(1, 4, size=(n, n)), 1) / 4.0
+    return upper + upper.T
+
+
+class TestWardOracle:
+    """The one-argmin scan against the pairwise scan of ``ward_oracle``: exact equality."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["euclidean", "quantized", "all_equal"]))
+    def test_same_merges_heights_and_sizes(self, n, seed, kind):
+        dist = tied_distance_matrix(n, seed, kind)
+        tree = ward_linkage(dist)
+        merges, heights, sizes = reference_ward_linkage(dist)
+        np.testing.assert_array_equal(tree.merges, merges)
+        np.testing.assert_array_equal(tree.heights, heights)
+        np.testing.assert_array_equal(tree.sizes, sizes)
+
 
 def contiguity_holds(tree, order):
     positions = {leaf: pos for pos, leaf in enumerate(order)}
@@ -143,6 +183,10 @@ class TestPipeline:
         sigma = random_covariance(12, seed=3)
         order = order_assets(sigma)
         assert sorted(order.tolist()) == list(range(12))
+
+    def test_order_assets_on_200_assets(self):
+        order = order_assets(random_covariance(200, seed=7))
+        assert sorted(order.tolist()) == list(range(200))
 
     def test_correlation_from_covariance_unit_diagonal(self):
         corr = correlation_from_covariance(random_covariance(6, seed=1))

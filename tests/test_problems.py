@@ -316,6 +316,12 @@ class TestCovarianceCsv:
         with pytest.raises(ParseError, match="non-numeric"):
             load_covariance_csv("1,x\n0,1\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", ["covariance", "returns"])
+    def test_rejects_non_finite_naming_line(self, cell, mode):
+        with pytest.raises(ParseError, match="^line 3: non-finite cell$"):
+            load_covariance_csv(f"1,0,0\n0,1,0\n0,0,{cell}\n", mode=mode)
+
     def test_rejects_asymmetry(self):
         with pytest.raises(ParseError, match="asymmetry"):
             load_covariance_csv("1,0.5\n0,1\n")
