@@ -27,12 +27,7 @@ print(f"training set: {data.shape[0]} noisy copies of two templates, N = {n_bits
 cfg = TrainConfig(learning_rate=0.1, chi_max=5, sweeps=1, svd_cutoff=1e-6)
 model = None
 for sweep in range(6):
-    model = train_born_machine(
-        data,
-        TrainConfig(**{**cfg.__dict__, "fresh_init": model is None}),
-        init=model,
-        rng=rng,
-    )
+    model = train_born_machine(data, cfg, init=model, rng=rng)  # the first sweep starts fresh
     print(f"after sweep {sweep + 1}: NLL = {born_nll(model, data):.4f}")
 
 print("\nmodel probability of template A:", probability(model, template_a))

@@ -27,7 +27,7 @@ from .models import (
     train_born_machine,
     train_positive_mps,
 )
-from .mps import EncodingMode, add_tensor_noise, perfect_sample, random_init
+from .mps import EncodingMode, perfect_sample, random_init
 
 TEMPERATURE_FLOOR = 1e-12  # fallback when every banked objective is equal
 
@@ -406,25 +406,14 @@ def mutate(x, p_flip: float, rng) -> np.ndarray:
 
 
 class BornMachineSampler:
-    """Born machine retrained (or updated) each generation, then sampled.
+    """Born machine trained from a fresh random start each generation, then sampled."""
 
-    ``alpha_noise`` adds one Gaussian perturbation to every tensor entry
-    after training, once per generation.
-    """
-
-    def __init__(self, train_cfg: TrainConfig, alpha_noise: float = 0.0):
-        if not alpha_noise >= 0:
-            raise ValueError("alpha_noise must be >= 0")
+    def __init__(self, train_cfg: TrainConfig):
         self.train_cfg = train_cfg
-        self.alpha_noise = alpha_noise
         self.model = None
 
     def fit(self, parents: np.ndarray, rng) -> None:
-        init = None if self.train_cfg.fresh_init else self.model
-        model = train_born_machine(parents, self.train_cfg, init=init, rng=rng)
-        if self.alpha_noise > 0:
-            model = add_tensor_noise(model, self.alpha_noise, rng)
-        self.model = model
+        self.model = train_born_machine(parents, self.train_cfg, rng=rng)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return perfect_sample(self.model, rng, size=n)

@@ -65,9 +65,8 @@ _T_MAX = _BUDGET // _POPULATION
 _SOLVER_DEFAULTS = {
     "model": None,  # born, positive_mps, chain_bayes or crossover
     "selection": None,  # boltzmann, tournament or greedy
-    # training (Born machine and positive MPS), Born noise, chain-Bayes smoothing
-    "chi": 2, "learning_rate": 0.15, "sweeps": 1, "svd_cutoff": 1e-6, "fresh_init": True,
-    "grad_steps_per_pair": 1, "alpha_noise": 0.0, "smoothing": 1.0,
+    # training (Born machine and positive MPS), chain-Bayes smoothing
+    "chi": 2, "learning_rate": 0.15, "sweeps": 1, "svd_cutoff": 1e-6, "smoothing": 1.0,
     # Boltzmann schedule (annealed or adaptive) and pool, tournament arity, greedy k
     "schedule": "annealed", "t0": None, "t_max": None, "rank": 5, "ratio": 3.0, "pool_size": None,
     "arity": 3, "top_k": 10,
@@ -76,7 +75,7 @@ _SOLVER_DEFAULTS = {
     "mutation_rate": 0.0, "call_budget": _BUDGET, "elitism": False, "target_objective": None,
     "diagnostics": None,
 }
-_TRAIN_KEYS = ("chi", "learning_rate", "sweeps", "svd_cutoff", "fresh_init", "grad_steps_per_pair")
+_TRAIN_KEYS = ("chi", "learning_rate", "sweeps", "svd_cutoff")
 _DIAGNOSTICS_DEFAULTS = {"reference": {}, "mirror_rng": False}
 
 _BOLTZMANN = {"selection": "boltzmann", "t_max": _T_MAX, "n_init": _POPULATION}
@@ -98,7 +97,7 @@ SOLVER_PRESETS: dict[str, dict] = {
     "BN1": {"model": "chain_bayes", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01},
     "BN2": {"model": "chain_bayes", **_TOURNAMENT},
     # genetic algorithms with two-point crossover at rate 1
-    "GA1": {"model": "crossover", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01, "elitism": True},
+    "GA1": {"model": "crossover", **_BOLTZMANN, "pool_size": 1000, "mutation_rate": 0.01},
     "GA2": {"model": "crossover", **_TOURNAMENT, "elitism": True},
 }
 
@@ -255,8 +254,6 @@ def _train_config(s: dict) -> TrainConfig:
         chi_max=int(s["chi"]),
         sweeps=int(s["sweeps"]),
         svd_cutoff=float(s["svd_cutoff"]),
-        fresh_init=bool(s["fresh_init"]),
-        grad_steps_per_pair=int(s["grad_steps_per_pair"]),
     )
 
 
@@ -271,28 +268,21 @@ def build_solver(spec: dict) -> SolverPlan:
     if preset is not None:
         given = {**SOLVER_PRESETS[_known(preset, SOLVER_PRESETS, "solver preset")], **given}
     _check_keys(given, _SOLVER_DEFAULTS, "solver")
-    s = {**_SOLVER_DEFAULTS, **given}
     try:
-        return _solver_plan(s, given)
+        return _solver_plan({**_SOLVER_DEFAULTS, **given})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver value: {exc}") from None
 
 
-def _solver_plan(s: dict, given: dict) -> SolverPlan:
+def _solver_plan(s: dict) -> SolverPlan:
     model_kind = _known(s["model"], ("born", "positive_mps", "chain_bayes", "crossover"), "model kind")
     if model_kind == "born":
         train = _train_config(s)
-        alpha = float(s["alpha_noise"])
-        make_model = lambda: BornMachineSampler(train, alpha_noise=alpha)  # noqa: E731
+        make_model = lambda: BornMachineSampler(train)  # noqa: E731
     elif model_kind == "positive_mps":
-        # the positive update is incremental and takes one step per pair;
-        # the check reads what the stanza and preset give, not the defaults
-        for key, no_op in (("grad_steps_per_pair", 1), ("fresh_init", False)):
-            if key in given and given[key] != no_op:
-                raise ConfigError(f"positive_mps does not use {key!r}: leave it out or set it to {no_op!r}")
-        train = _train_config({**s, "fresh_init": False})
+        train = _train_config(s)
         make_model = lambda: PositiveMpsSampler(train)  # noqa: E731
     elif model_kind == "chain_bayes":
         smoothing = float(s["smoothing"])
@@ -328,17 +318,13 @@ def _solver_plan(s: dict, given: dict) -> SolverPlan:
     if s["diagnostics"]:
         _check_keys(s["diagnostics"], _DIAGNOSTICS_DEFAULTS, "diagnostics")
         diagnostics = {**_DIAGNOSTICS_DEFAULTS, **s["diagnostics"]}
-        _check_keys(diagnostics["reference"], (*_TRAIN_KEYS, "alpha_noise"), "diagnostics.reference")
+        _check_keys(diagnostics["reference"], _TRAIN_KEYS, "diagnostics.reference")
         if model_kind != "born":
             raise ConfigError("KL diagnostics are supported for the Born-machine model")
         if selection_kind != "boltzmann":
             raise ConfigError("KL diagnostics require Boltzmann selection")
-        # the bystander takes the primary's training, but no noise unless given
-        ref = {**s, "alpha_noise": _SOLVER_DEFAULTS["alpha_noise"], **diagnostics["reference"]}
-        ref_train = _train_config(ref)
-        ref_alpha = float(ref["alpha_noise"])
-        make_reference = lambda: BornMachineSampler(ref_train, alpha_noise=ref_alpha)  # noqa: E731
-        make_reference()
+        ref_train = _train_config({**s, **diagnostics["reference"]})
+        make_reference = lambda: BornMachineSampler(ref_train)  # noqa: E731
     return SolverPlan(make_model, selection, cfg, diagnostics, make_reference)
 
 

@@ -59,8 +59,6 @@ class TrainConfig:
     chi_max: int
     sweeps: int = 1
     svd_cutoff: float = 1e-6
-    fresh_init: bool = True
-    grad_steps_per_pair: int = 1
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -71,8 +69,6 @@ class TrainConfig:
             raise ValueError("chi_max must be >= 1")
         if self.svd_cutoff < 0:
             raise ValueError("svd_cutoff must be >= 0")
-        if self.grad_steps_per_pair < 1:
-            raise ValueError("grad_steps_per_pair must be >= 1")
 
 
 def _as_data(data) -> np.ndarray:
@@ -146,13 +142,13 @@ def pair_nll_gradient(
     la: np.ndarray | None = None,
     rb: np.ndarray | None = None,
     w: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Born-machine NLL and its analytic gradient w.r.t. a merged pair.
+) -> np.ndarray:
+    """Analytic gradient of the Born-machine NLL w.r.t. a merged pair.
 
     The NLL is over the empirical distribution of the rows,
     ``-2 sum_b w[b] log|psi(x_b)| + log Z``. Rows with weights summing to
-    1 give the same value and gradient as the rows repeated in proportion
-    to their weights, in any order.
+    1 give the same gradient as the rows repeated in proportion to their
+    weights, in any order.
 
     Args:
         theta: merged two-site tensor (chi_l, 2, 2, chi_r).
@@ -164,11 +160,6 @@ def pair_nll_gradient(
         la, rb: bond Gram matrices of the rest of the chain; ``None`` means
             identity (mixed-canonical gauge), in which case Z = ||theta||^2.
         w: per-row weights summing to 1; ``None`` means uniform ``1/n``.
-
-    Returns:
-        (nll, gradient) where nll is exact when the environments carry no
-        hidden scale factors (always true for the canonical training path
-        and for :func:`born_pair_gradient`).
     """
     n = lx.shape[1]
     if w is None:
@@ -187,10 +178,7 @@ def pair_nll_gradient(
     grad_z = (2.0 / z) * half
 
     grad_data = _pair_data_gradient(lx, rx * (w / safe), onehot)
-
-    nll = -2.0 * float(w @ np.log(np.abs(safe))) + math.log(z)
-    grad = -2.0 * grad_data + grad_z
-    return nll, grad
+    return -2.0 * grad_data + grad_z
 
 
 def merge_pair(m: Mps, i: int) -> np.ndarray:
@@ -223,13 +211,21 @@ def born_pair_environments(
 
 
 def born_pair_gradient(m: Mps, i: int, data) -> tuple[float, np.ndarray]:
-    """NLL and analytic gradient w.r.t. the merged tensor of pair (i, i+1)."""
+    """NLL and analytic gradient w.r.t. the merged tensor of pair (i, i+1).
+
+    The NLL, ``-2 mean_b log|psi(x_b)| + log Z``, is read at the pair, so
+    it is the model's mean NLL over the rows in any gauge.
+    """
     if m.mode is not EncodingMode.AMPLITUDE:
         raise ValueError("Born-machine gradients require an amplitude-mode model")
     bits = _as_data(data)
     lx, rx, la, rb = born_pair_environments(m, i, bits)
     theta = merge_pair(m, i)
-    return pair_nll_gradient(theta, lx, rx, pair_onehots(bits[:, i : i + 2])[0], la, rb)
+    onehot = pair_onehots(bits[:, i : i + 2])[0]
+    grad = pair_nll_gradient(theta, lx, rx, onehot, la, rb)
+    amps = np.abs(_pair_amplitudes(theta, lx, rx, onehot))
+    z = float(np.vdot(np.tensordot(la, theta, axes=(1, 0)) @ rb.T, theta))
+    return -2.0 * float(np.mean(np.log(np.maximum(amps, _AMP_FLOOR)))) + math.log(z), grad
 
 
 def born_nll(m: Mps, data) -> float:
@@ -256,9 +252,9 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     """Fit an MPS Born machine by DMRG-style two-site NLL descent.
 
     Each sweep walks all neighboring pairs down and back; at every pair the
-    two tensors are merged, ``cfg.grad_steps_per_pair`` gradient steps are
-    applied to the merged tensor, the network is renormalized to Z = 1, and
-    the pair is split by truncated SVD (``cfg.chi_max``, ``cfg.svd_cutoff``).
+    two tensors are merged, one gradient step is applied to the merged
+    tensor, the network is renormalized to Z = 1, and the pair is split by
+    truncated SVD (``cfg.chi_max``, ``cfg.svd_cutoff``).
 
     The rows are reduced once to their distinct strings, in byte order,
     each weighted by its share of the rows, so the fit is the same for any
@@ -268,7 +264,8 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     Args:
         data: (n, N) bit array, n >= 1.
         cfg: training settings.
-        init: starting model; ignored when ``cfg.fresh_init`` is set.
+        init: starting model, for a warm start; ``None`` starts from
+            ``random_init(width, cfg.chi_max, AMPLITUDE, rng)``.
         rng: generator or seed for the fresh random start.
 
     Returns:
@@ -288,7 +285,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     n = bits.shape[0]
     is_one = (bits.T == 1)[:, None, :]
     onehots = pair_onehots(bits)
-    if cfg.fresh_init or init is None:
+    if init is None:
         start = random_init(width, cfg.chi_max, EncodingMode.AMPLITUDE, rng)
     else:
         if init.mode is not EncodingMode.AMPLITUDE:
@@ -307,9 +304,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
 
         for i, absorb, moving in _sweep_pair_schedule(width):
             theta = _merge(tensors[i], tensors[i + 1])
-            for _ in range(cfg.grad_steps_per_pair):
-                _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
-                theta = theta - cfg.learning_rate * grad
+            theta = theta - cfg.learning_rate * pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
             flat = theta.reshape(-1)
             norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula, without its wrapper
             if not math.isfinite(norm):

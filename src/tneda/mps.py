@@ -342,24 +342,6 @@ def apply_diffusion(m: Mps, p_flip: float) -> Mps:
     return Mps(tuple(sites), EncodingMode.DIRECT, m.chi_max * (m.chi_max + 1) // 2)
 
 
-def add_tensor_noise(m: Mps, alpha_noise: float, rng) -> Mps:
-    """Perturb every tensor entry with an independent N(0, alpha_noise) draw.
-
-    In direct-positive mode perturbed entries are clamped at 0 to keep the
-    encoding valid.
-    """
-    if alpha_noise < 0:
-        raise ValueError("alpha_noise must be >= 0")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    noisy = []
-    for t in m.tensors:
-        perturbed = t + rng.normal(0.0, alpha_noise, size=t.shape)
-        if m.mode is EncodingMode.DIRECT_POSITIVE:
-            perturbed = np.maximum(perturbed, 0.0)
-        noisy.append(perturbed)
-    return Mps(tuple(noisy), m.mode, m.chi_max)
-
-
 def canonicalize_split(
     theta: np.ndarray,
     chi_max: int | None,

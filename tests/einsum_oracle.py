@@ -238,9 +238,8 @@ def train_born_machine(bits, cfg, rng):
         lx[0] = np.ones((n, 1))
         for i, absorb, moving in _sweep_pair_schedule(width):
             theta = np.einsum("lsk,ktr->lstr", tensors[i], tensors[i + 1])
-            for _ in range(cfg.grad_steps_per_pair):
-                _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], bits[:, i], bits[:, i + 1])
-                theta = theta - cfg.learning_rate * grad
+            _, grad = pair_nll_gradient(theta, lx[i], rx[i + 2], bits[:, i], bits[:, i + 1])
+            theta = theta - cfg.learning_rate * grad
             theta /= np.linalg.norm(theta)
             left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
             tensors[i], tensors[i + 1] = left, right

@@ -494,7 +494,7 @@ class TestRunEda:
             n_init=50,
             mutation_rate=0.0,
         )
-        model = PositiveMpsSampler(TrainConfig(learning_rate=0.15, chi_max=2, fresh_init=False))
+        model = PositiveMpsSampler(TrainConfig(learning_rate=0.15, chi_max=2))
         records = run_eda(problem, model, GreedyTopK(10), cfg, rng=3)
         assert records
         assert records[-1].best_objective <= -8.0

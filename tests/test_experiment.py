@@ -1,7 +1,6 @@
 """Harness tests: presets, record files, determinism, summaries, CLI."""
 
 import csv
-import dataclasses
 import json
 import math
 import re
@@ -85,7 +84,6 @@ class TestPresets:
         model = plan.make_model()
         assert model.train_cfg.chi_max == 2
         assert model.train_cfg.learning_rate == 0.15
-        assert model.train_cfg.grad_steps_per_pair == 1
 
     def test_tn2_uses_full_bank(self):
         plan = build_solver({"preset": "TN2"})
@@ -98,12 +96,6 @@ class TestPresets:
         assert plan.selection.k == 10
         assert plan.cfg.n_children == 100
         assert isinstance(plan.make_model(), PositiveMpsSampler)
-
-    @pytest.mark.parametrize("key, no_op, value", [("grad_steps_per_pair", 1, 3), ("fresh_init", False, True)])
-    def test_tn3_rejects_settings_it_would_ignore(self, key, no_op, value):
-        build_solver({"preset": "TN3", key: no_op})
-        with pytest.raises(ConfigError, match=key):
-            build_solver({"preset": "TN3", key: value})
 
     def test_bn_solvers(self):
         bn1 = build_solver({"preset": "BN1"})
@@ -134,22 +126,17 @@ class TestPresets:
         def annealed(pool_size):
             return BoltzmannSelection(AnnealedSchedule(t0=None, t_max=60), pool_size)
 
-        born = {"train_cfg": TrainConfig(0.15, 2, sweeps=1, svd_cutoff=1e-6, fresh_init=True, grad_steps_per_pair=1),
-                "alpha_noise": 0.0}
-        positive = {"train_cfg": dataclasses.replace(born["train_cfg"], fresh_init=False)}
+        train = {"train_cfg": TrainConfig(0.15, 2, sweeps=1, svd_cutoff=1e-6)}
         pinned = {
-            "TN1": (loop(mutation_rate=0.01), annealed(1000), BornMachineSampler, born),
-            "TN2": (loop(), annealed(None), BornMachineSampler, born),
+            "TN1": (loop(mutation_rate=0.01), annealed(1000), BornMachineSampler, train),
+            "TN2": (loop(), annealed(None), BornMachineSampler, train),
             "TN3": (
                 loop(n_parents=10, n_children=100, generations=2400, n_init=100),
-                GreedyTopK(10), PositiveMpsSampler, positive,
+                GreedyTopK(10), PositiveMpsSampler, train,
             ),
             "BN1": (loop(mutation_rate=0.01), annealed(1000), ChainBayesSampler, {"smoothing": 1.0}),
             "BN2": (loop(), TournamentSelection(3), ChainBayesSampler, {"smoothing": 1.0}),
-            "GA1": (
-                loop(mutation_rate=0.01, elitism=True), annealed(1000),
-                CrossoverSampler, {},
-            ),
+            "GA1": (loop(mutation_rate=0.01), annealed(1000), CrossoverSampler, {}),
             "GA2": (loop(elitism=True), TournamentSelection(3), CrossoverSampler, {}),
         }
         assert set(pinned) == set(SOLVER_PRESETS)
@@ -161,16 +148,14 @@ class TestPresets:
             assert plan.diagnostics is None and plan.make_reference is None
 
     def test_explicit_positive_mps_builds(self):
-        # fresh_init defaults to true, but the restriction reads only given values
         plan = build_solver({"model": "positive_mps", "selection": "greedy"})
-        assert plan.make_model().train_cfg.fresh_init is False
+        assert plan.make_model().train_cfg == TrainConfig(0.15, 2)
 
     def test_diagnostics_reference(self):
         plan = build_solver(
             {"preset": "TN1", "diagnostics": {"reference": {"chi": 20}}}
         )
         assert plan.make_reference().train_cfg.chi_max == 20
-        assert plan.make_reference().alpha_noise == 0.0
 
 
 class _Spy:
@@ -568,9 +553,11 @@ class TestStrictConfig:
         ({"schedule": "adaptive", "ratio": 1}, "ratio must be > 1"),
         ({"pool_size": 0}, "pool_size must be >= 1"),
         ({"preset": "BN1", "smoothing": -1}, "smoothing must be >= 0"),
-        ({"alpha_noise": -1}, "alpha_noise must be >= 0"),
-        ({"diagnostics": {"reference": {"alpha_noise": -1}}}, "alpha_noise must be >= 0"),
+        ({"alpha_noise": 0.1}, "unknown solver key 'alpha_noise'"),
+        ({"diagnostics": {"reference": {"alpha_noise": 0.1}}}, "unknown diagnostics.reference key 'alpha_noise'"),
         ({"population_update": "replace"}, "unknown solver key 'population_update'"),
+        ({"fresh_init": False}, "unknown solver key 'fresh_init'"),
+        ({"grad_steps_per_pair": 1}, "unknown solver key 'grad_steps_per_pair'"),
     ])
     def test_rejected_value_exits_2(self, tmp_path, capsys, solver, message):
         code, err = self.run_cli(tmp_path, capsys, solver=solver)

@@ -24,7 +24,9 @@ import einsum_oracle as oracle
 from tneda.experiment import build_problem, build_solver, run_single
 from tneda.models import (
     TrainConfig,
+    _right_canonicalize,
     born_pair_environments,
+    born_pair_gradient,
     merge_pair,
     pair_nll_gradient,
     pair_onehots,
@@ -247,10 +249,15 @@ class TestTraining:
         theta = rng.normal(size=(chi, 2, 2, chi + 1))
         lx, rx = rng.normal(size=(50, chi)), rng.normal(size=(50, chi + 1))
         xi, xj = rng.integers(0, 2, 50), rng.integers(0, 2, 50)
-        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, pair_onehots(np.stack([xi, xj], axis=1))[0])
-        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx, rx, xi, xj)
-        assert_rel_close(nll, ref_nll)
-        assert_rel_close(grad, ref_grad)
+        grad = pair_nll_gradient(theta, lx.T, rx.T, pair_onehots(np.stack([xi, xj], axis=1))[0])
+        assert_rel_close(grad, oracle.pair_nll_gradient(theta, lx, rx, xi, xj)[1])
+        # the NLL at pair 0 of a right-canonical model against the oracle's Z = ||theta||^2
+        m = random_init(8, chi, EncodingMode.AMPLITUDE, seed=chi)
+        m = Mps(tuple(_right_canonicalize(list(m.tensors))), m.mode, m.chi_max)
+        bits = random_bits(50, 8, seed=chi)
+        lx, rx, _, _ = oracle.born_pair_environments(m, 0, bits)
+        ref_nll, _ = oracle.pair_nll_gradient(merge_pair(m, 0), lx, rx, bits[:, 0], bits[:, 1])
+        assert_rel_close(born_pair_gradient(m, 0, bits)[0], ref_nll)
 
     @pytest.mark.parametrize("chi", CHIS)
     def test_pair_nll_gradient_any_gauge(self, chi):
@@ -261,10 +268,12 @@ class TestTraining:
         for got, ref in zip(envs, (refs[0].T, refs[1].T, *refs[2:])):
             assert_rel_close(got, ref)
         theta = merge_pair(m, 3)
-        nll, grad = pair_nll_gradient(theta, *envs[:2], pair_onehots(bits)[3], *envs[2:])
+        grad = pair_nll_gradient(theta, *envs[:2], pair_onehots(bits)[3], *envs[2:])
         ref_nll, ref_grad = oracle.pair_nll_gradient(theta, *refs[:2], bits[:, 3], bits[:, 4], *refs[2:])
+        nll, pair_grad = born_pair_gradient(m, 3, bits)
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
+        np.testing.assert_array_equal(pair_grad, grad)
 
     @pytest.mark.parametrize("chi", CHIS)
     def test_born_sweep(self, chi):
@@ -290,10 +299,14 @@ class TestTraining:
         xi, xj = rng.integers(0, 2, 40), rng.integers(0, 2, 40)
         b = repeated_index(40, seed=chi)
         onehot = pair_onehots(np.stack([xi, xj], axis=1))[0]
-        nll, grad = pair_nll_gradient(theta, lx.T, rx.T, onehot, w=np.bincount(b) / len(b))
-        ref_nll, ref_grad = oracle.pair_nll_gradient(theta, lx[b], rx[b], xi[b], xj[b])
-        assert_rel_close(nll, ref_nll)
-        assert_rel_close(grad, ref_grad)
+        grad = pair_nll_gradient(theta, lx.T, rx.T, onehot, w=np.bincount(b) / len(b))
+        assert_rel_close(grad, oracle.pair_nll_gradient(theta, lx[b], rx[b], xi[b], xj[b])[1])
+        # the NLL over the same repeated rows, read at a pair of a model
+        m = random_init(8, chi, EncodingMode.AMPLITUDE, seed=30 + chi)
+        bits = random_bits(40, 8, seed=30 + chi)[b]
+        refs = oracle.born_pair_environments(m, 3, bits)
+        ref_nll, _ = oracle.pair_nll_gradient(merge_pair(m, 3), *refs[:2], bits[:, 3], bits[:, 4], *refs[2:])
+        assert_rel_close(born_pair_gradient(m, 3, bits)[0], ref_nll)
 
     @pytest.mark.parametrize("chi", CHIS)
     def test_born_sweep_on_repeated_rows(self, chi):
@@ -349,7 +362,7 @@ class TestTraining:
         init = random_init(10, chi, EncodingMode.DIRECT_POSITIVE, seed=chi)
         for learning_rate in (0.0, 0.15, 1.0):
             for sweeps in (1, 2):
-                cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps, fresh_init=False)
+                cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps)
                 try:
                     ref = oracle.train_positive_mps(bits, cfg, init)
                 except DegenerateModelError as err:
@@ -387,7 +400,7 @@ class TestTraining:
         if copies:  # ten copies of one row: the TN3 late-run case
             bits = np.repeat(bits[:1], 10, axis=0)
         init = random_init(n_sites, chi, EncodingMode.DIRECT_POSITIVE, seed=seed)
-        cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps, fresh_init=False)
+        cfg = TrainConfig(learning_rate=learning_rate, chi_max=chi, sweeps=sweeps)
 
         def fit(train):
             try:
@@ -421,7 +434,7 @@ class TestTraining:
         assert (n_sites, n_rows, chi) == (8, 53, 2)
         bits = r.random((n_rows, n_sites)) < r.random()
         init = random_init(n_sites, chi, EncodingMode.DIRECT_POSITIVE, 74)
-        cfg = TrainConfig(1.0, chi, sweeps=2, fresh_init=False)
+        cfg = TrainConfig(1.0, chi, sweeps=2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateModelError, match=r"^pair 0: site tensor is non-finite after a gradient step$"):
                 train_positive_mps(bits, cfg, init)

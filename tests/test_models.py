@@ -108,7 +108,7 @@ class TestTrainBornMachine:
         data = rng.integers(0, 2, size=(50, 6))
         init = random_init(6, 2, EncodingMode.AMPLITUDE, seed=5)
         before = born_nll(init, data)
-        cfg = TrainConfig(learning_rate=1e-3, chi_max=4, sweeps=1, svd_cutoff=0.0, fresh_init=False)
+        cfg = TrainConfig(learning_rate=1e-3, chi_max=4, sweeps=1, svd_cutoff=0.0)
         trained = train_born_machine(data, cfg, init=init)
         assert born_nll(trained, data) <= before + 1e-12
 
@@ -145,7 +145,7 @@ class TestTrainPositiveMps:
     def test_probability_increases_on_repeated_string(self):
         target = np.array([0, 1, 1, 0, 1])
         data = np.tile(target, (50, 1))
-        cfg = TrainConfig(learning_rate=0.15, chi_max=2, fresh_init=False)
+        cfg = TrainConfig(learning_rate=0.15, chi_max=2)
         m = random_init(5, 2, EncodingMode.DIRECT_POSITIVE, seed=3)
         seen = [probability(m, target)]
         for _ in range(5):
@@ -155,7 +155,7 @@ class TestTrainPositiveMps:
 
     def test_zero_learning_rate_is_noop(self):
         data = np.random.default_rng(0).integers(0, 2, size=(20, 6))
-        cfg = TrainConfig(learning_rate=0.0, chi_max=3, fresh_init=False)
+        cfg = TrainConfig(learning_rate=0.0, chi_max=3)
         m = random_init(6, 3, EncodingMode.DIRECT_POSITIVE, seed=8)
         out = train_positive_mps(data, cfg, init=m)
         for ta, tb in zip(out.tensors, m.tensors):
@@ -163,14 +163,14 @@ class TestTrainPositiveMps:
 
     def test_benchmark_settings_accepted(self):
         data = np.random.default_rng(1).integers(0, 2, size=(10, 8))
-        cfg = TrainConfig(learning_rate=0.15, chi_max=2, sweeps=1, fresh_init=False)
+        cfg = TrainConfig(learning_rate=0.15, chi_max=2, sweeps=1)
         m = random_init(8, 2, EncodingMode.DIRECT_POSITIVE, seed=1)
         out = train_positive_mps(data, cfg, init=m)
         assert out.mode is EncodingMode.DIRECT_POSITIVE
 
     def test_entries_stay_nonnegative(self):
         data = np.random.default_rng(2).integers(0, 2, size=(30, 5))
-        cfg = TrainConfig(learning_rate=2.0, chi_max=2, sweeps=3, fresh_init=False)
+        cfg = TrainConfig(learning_rate=2.0, chi_max=2, sweeps=3)
         m = random_init(5, 2, EncodingMode.DIRECT_POSITIVE, seed=2)
         out = train_positive_mps(data, cfg, init=m)
         assert all(np.all(t >= 0) for t in out.tensors)

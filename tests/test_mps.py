@@ -16,7 +16,6 @@ from tneda.mps import (
     DegenerateModelError,
     EncodingMode,
     Mps,
-    add_tensor_noise,
     apply_diffusion,
     canonicalize_split,
     log_probability,
@@ -305,33 +304,6 @@ class TestApplyDiffusion:
         m = uniform_direct_mps(3)
         with pytest.raises(ValueError):
             apply_diffusion(m, 1.5)
-
-
-class TestAddTensorNoise:
-    def test_zero_noise_identical(self):
-        m = random_init(6, 3, EncodingMode.AMPLITUDE, seed=4)
-        noisy = add_tensor_noise(m, 0.0, np.random.default_rng(0))
-        for a, b in zip(m.tensors, noisy.tensors):
-            np.testing.assert_array_equal(a, b)
-
-    def test_noise_std(self):
-        m = random_init(100, 8, EncodingMode.AMPLITUDE, seed=6)
-        noisy = add_tensor_noise(m, 0.035, np.random.default_rng(77))
-        diffs = np.concatenate([(a - b).ravel() for a, b in zip(noisy.tensors, m.tensors)])
-        assert diffs.size >= 10_000
-        assert abs(diffs.std() - 0.035) < 0.1 * 0.035
-
-    def test_deterministic_under_seed(self):
-        m = random_init(5, 2, EncodingMode.AMPLITUDE, seed=1)
-        a = add_tensor_noise(m, 0.1, np.random.default_rng(5))
-        b = add_tensor_noise(m, 0.1, np.random.default_rng(5))
-        for ta, tb in zip(a.tensors, b.tensors):
-            np.testing.assert_array_equal(ta, tb)
-
-    def test_direct_positive_clamped(self):
-        m = random_init(6, 3, EncodingMode.DIRECT_POSITIVE, seed=2)
-        noisy = add_tensor_noise(m, 5.0, np.random.default_rng(3))
-        assert all(np.all(t >= 0) for t in noisy.tensors)
 
 
 class TestCanonicalizeSplit:
