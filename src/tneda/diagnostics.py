@@ -15,7 +15,10 @@ network of bond chi(chi+1)/2 (:func:`tneda.mps.apply_diffusion`).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +67,56 @@ def kl_details(model, target: FiniteDistribution) -> tuple[float, int]:
     return float(np.sum(t * (np.log(t) - logm))), 0
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _spare_core() -> bool:
+    """Whether a forked worker can run beside this process on a core of its own.
+
+    Not when BLAS may start threads of its own (they would contend with the
+    worker) or the process runs other threads (forking a process with
+    threads is unsafe), when fewer than two CPUs are usable, when there is
+    no fork start method, or inside a multiprocessing child, such as a seed
+    of ``run_experiment(jobs > 1)``.
+    """
+    if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS) or threading.active_count() > 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    import multiprocessing  # only here: it costs about 13 ms to import
+
+    return "fork" in multiprocessing.get_all_start_methods() and multiprocessing.parent_process() is None
+
+
+def _score_generation(
+    reference, mutation_rate, parents, ref_seed, primary_model, pool_strings, pool_values, temperature
+) -> tuple[float, int, float, int]:
+    """One generation's bystander work: fit the reference, score both models.
+
+    Returns (KL, zero-support count) of the primary model diffused at
+    ``mutation_rate`` and of the reference, against the Boltzmann
+    distribution over the pool at ``temperature``.
+    """
+    target = FiniteDistribution(pool_strings, boltzmann_weights(pool_values, temperature))
+    reference.fit(parents, np.random.default_rng(ref_seed))
+    if mutation_rate > 0:
+        primary_model = apply_diffusion(primary_model, mutation_rate)
+    return (*kl_details(primary_model, target), *kl_details(reference.model, target))
+
+
+_held_score = None  # in a bystander worker: the run's scoring task, reference included
+
+
+def _hold(score) -> None:
+    global _held_score
+    _held_score = score
+
+
+def _score_held(*args):
+    return _held_score(*args)
+
+
 def run_with_reference(
     problem,
     primary,
@@ -80,6 +133,15 @@ def run_with_reference(
     the primary's samples drive the run. Both exact KLs against that
     generation's Boltzmann selection distribution are recorded.
 
+    The reference fit and both KLs never feed back into the run, so when a
+    core is spare (see :func:`_spare_core`) they run in one forked worker
+    process beside the loop, one task per generation, and are joined after
+    the last generation; otherwise each runs inline at the end of its
+    generation. Both ways give the same records and reports. A worker
+    error is raised with its type and message at the join. The reference
+    is then fitted in the worker, so the caller's ``reference.model`` is
+    not updated.
+
     Args:
         problem: objective to optimize.
         primary: sampler adapter used by the run.
@@ -93,6 +155,8 @@ def run_with_reference(
         mirror_reference_rng: give the reference the same per-generation
             training stream as the primary, so identical configs produce
             delta = 0 exactly.
+        observer: optional callback receiving each generation's context
+            after its bystander task is handed on.
 
     Returns:
         Run records (KL fields filled) and one :class:`KlReport` per
@@ -102,26 +166,42 @@ def run_with_reference(
         raise ValueError("KL diagnostics require Boltzmann selection")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     ref_stream = rng.spawn(1)[0]
+    score = partial(_score_generation, reference, cfg.mutation_rate)
+    loop_records: list[RunRecord] = []
+    scores = []  # per generation: the KL scores, or in a worker their future
+
+    def observe(ctx):
+        ref_seed = ctx.fit_seed if mirror_reference_rng else int(ref_stream.integers(0, 2**63 - 1))
+        primary_model = ctx.model.model
+        if cfg.mutation_rate > 0 and not isinstance(primary_model, Mps):
+            raise NotImplementedError("diffused KL is implemented for tensor-network models only")
+        # a worker's arrays are sent after the loop moves on; banked rows and parents are never rewritten
+        args = (ctx.parents, ref_seed, primary_model, ctx.pool_strings, ctx.pool_values, ctx.temperature)
+        scores.append(submit(*args))
+        loop_records.append(ctx.record)
+        if observer is not None:
+            observer(ctx)
+
+    pool = None
+    if _spare_core():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked, the worker inherits the task and the reference sampler it holds for the run
+        context = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(1, mp_context=context, initializer=_hold, initargs=(score,))
+    submit = score if pool is None else partial(pool.submit, _score_held)
+    try:
+        run_eda(problem, primary, selection, cfg, rng, observer=observe)
+        if pool is not None:
+            scores = [future.result() for future in scores]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     records: list[RunRecord] = []
     reports: list[KlReport] = []
-
-    def observe(ctx):
-        target = FiniteDistribution(
-            ctx.pool_strings.copy(), boltzmann_weights(ctx.pool_values, ctx.temperature)
-        )
-        ref_seed = ctx.fit_seed if mirror_reference_rng else int(ref_stream.integers(0, 2**63 - 1))
-        reference.fit(ctx.parents, np.random.default_rng(ref_seed))
-
-        primary_model = ctx.model.model
-        if cfg.mutation_rate > 0:
-            if not isinstance(primary_model, Mps):
-                raise NotImplementedError(
-                    "diffused KL is implemented for tensor-network models only"
-                )
-            primary_model = apply_diffusion(primary_model, cfg.mutation_rate)
-        kl_primary, zeros_primary = kl_details(primary_model, target)
-        kl_reference, zeros_reference = kl_details(reference.model, target)
+    for record, (kl_primary, zeros_primary, kl_reference, zeros_reference) in zip(loop_records, scores):
         delta = (
             kl_primary - kl_reference
             if math.isfinite(kl_primary) and math.isfinite(kl_reference)
@@ -129,7 +209,7 @@ def run_with_reference(
         )
         reports.append(
             KlReport(
-                generation=ctx.generation,
+                generation=record.generation,
                 kl_primary=kl_primary,
                 kl_reference=kl_reference,
                 delta=delta,
@@ -137,16 +217,5 @@ def run_with_reference(
                 reference_zero_support=zeros_reference,
             )
         )
-        records.append(
-            replace(
-                ctx.record,
-                kl_primary=kl_primary,
-                kl_reference=kl_reference,
-                kl_delta=delta,
-            )
-        )
-        if observer is not None:
-            observer(ctx)
-
-    run_eda(problem, primary, selection, cfg, rng, observer=observe)
+        records.append(replace(record, kl_primary=kl_primary, kl_reference=kl_reference, kl_delta=delta))
     return ReferenceRunResult(records=records, reports=reports)

@@ -129,6 +129,13 @@ def _check_keys(stanza: dict, valid, what: str) -> None:
         _known(key, valid, f"{what} key")
 
 
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; else a ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what!r} must be an object, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -156,8 +163,7 @@ class ExperimentConfig:
             if key not in raw:
                 raise ConfigError(f"config is missing the {key!r} key")
         for key in ("problem", "solver"):
-            if not isinstance(raw[key], dict):
-                raise ConfigError(f"{key!r} must be an object, got {raw[key]!r}")
+            _object(raw[key], key)
         seeds = raw["seeds"]
         try:
             if isinstance(seeds, dict) and seeds.keys() == {"start", "count"}:
@@ -315,15 +321,18 @@ def _solver_plan(s: dict) -> SolverPlan:
     )
 
     diagnostics = make_reference = None
-    if s["diagnostics"]:
-        _check_keys(s["diagnostics"], _DIAGNOSTICS_DEFAULTS, "diagnostics")
+    if s["diagnostics"] is not None:  # any object turns them on, {} with the defaults
+        _check_keys(_object(s["diagnostics"], "diagnostics"), _DIAGNOSTICS_DEFAULTS, "diagnostics")
         diagnostics = {**_DIAGNOSTICS_DEFAULTS, **s["diagnostics"]}
-        _check_keys(diagnostics["reference"], _TRAIN_KEYS, "diagnostics.reference")
+        reference = _object(diagnostics["reference"], "diagnostics.reference")
+        _check_keys(reference, _TRAIN_KEYS, "diagnostics.reference")
+        if not isinstance(diagnostics["mirror_rng"], bool):
+            raise ConfigError(f"'diagnostics.mirror_rng' must be true or false, got {diagnostics['mirror_rng']!r}")
         if model_kind != "born":
             raise ConfigError("KL diagnostics are supported for the Born-machine model")
         if selection_kind != "boltzmann":
             raise ConfigError("KL diagnostics require Boltzmann selection")
-        ref_train = _train_config({**s, **diagnostics["reference"]})
+        ref_train = _train_config({**s, **reference})
         make_reference = lambda: BornMachineSampler(ref_train)  # noqa: E731
     return SolverPlan(make_model, selection, cfg, diagnostics, make_reference)
 
@@ -406,7 +415,7 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
     def clock(_ctx):
         elapsed.append(time.perf_counter() - started)
 
-    if plan.diagnostics:
+    if plan.diagnostics is not None:
         result = run_with_reference(
             problem,
             model,
@@ -414,7 +423,7 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
             plan.selection,
             plan.cfg,
             rng=seed,
-            mirror_reference_rng=bool(plan.diagnostics["mirror_rng"]),
+            mirror_reference_rng=plan.diagnostics["mirror_rng"],
             observer=clock,
         )
         records = result.records

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import tneda.diagnostics
 from tneda.diagnostics import KlReport, kl_details, run_with_reference
 from tneda.evolve import (
     AdaptiveGapSchedule,
@@ -17,7 +22,7 @@ from tneda.evolve import (
     top_k_pool,
 )
 from tneda.models import FiniteDistribution, TrainConfig
-from tneda.mps import EncodingMode, apply_diffusion, random_init
+from tneda.mps import DegenerateModelError, EncodingMode, apply_diffusion, random_init
 from tneda.problems import OneMax, PortfolioProblem, random_covariance
 
 
@@ -246,3 +251,139 @@ class TestRunWithReference:
                 EdaConfig(n_parents=10, n_children=10, generations=2, call_budget=100, n_init=10),
                 rng=0,
             )
+
+
+@pytest.fixture(params=[True, False], ids=["worker", "inline"])
+def bystander_path(request, monkeypatch):
+    """Force the KL observer's bystander work into a forked worker, or inline."""
+    monkeypatch.setattr(tneda.diagnostics, "_spare_core", lambda: request.param)
+    yield request.param
+    assert multiprocessing.active_children() == []
+
+
+class _FailingReference(BornMachineSampler):
+    """Born reference whose second fit raises, as a degenerate fit would."""
+
+    def __init__(self, train):
+        super().__init__(train)
+        self.fits = 0
+
+    def fit(self, parents, rng):
+        self.fits += 1
+        if self.fits == 2:
+            raise DegenerateModelError("reference fit 2 is degenerate")
+        super().fit(parents, rng)
+
+
+class _SlowReference(BornMachineSampler):
+    """Born reference that logs each fit to a file and takes a while over it."""
+
+    def __init__(self, train, log):
+        super().__init__(train)
+        self.log = log
+
+    def fit(self, parents, rng):
+        with open(self.log, "a") as fh:
+            fh.write("fit\n")
+        time.sleep(0.2)
+        super().fit(parents, rng)
+
+
+class _FailingProblem(OneMax):
+    """OneMax whose evaluation raises from its ``fail_at``-th batch on."""
+
+    def __init__(self, n_bits, fail_at):
+        super().__init__(n_bits)
+        self.batches = 0
+        self.fail_at = fail_at
+
+    def evaluate_batch(self, x):
+        self.batches += 1
+        if self.batches >= self.fail_at:
+            raise RuntimeError("objective failed")
+        return super().evaluate_batch(x)
+
+
+class TestBystanderWorker:
+    """The forked bystander worker and the inline path give the same run."""
+
+    @pytest.mark.parametrize("mutation_rate, mirror", [(0.01, False), (0.0, True), (0.0, False)])
+    def test_worker_matches_inline(self, monkeypatch, mutation_rate, mirror):
+        results = {}
+        for forced in (True, False):
+            monkeypatch.setattr(tneda.diagnostics, "_spare_core", lambda forced=forced: forced)
+            results[forced] = small_run(mutation_rate, mirror, seed=11)
+        assert results[True].records == results[False].records
+        assert results[True].reports == results[False].reports  # KL floats compare exactly
+        if mirror:
+            assert all(report.delta == 0.0 for report in results[True].reports)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_leaves_the_callers_reference_unfitted(self, bystander_path):
+        train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
+        reference = BornMachineSampler(train)
+        cfg = EdaConfig(n_parents=20, n_children=20, generations=2, call_budget=200, n_init=20)
+        run_with_reference(OneMax(6), BornMachineSampler(train), reference,
+                           BoltzmannSelection(AnnealedSchedule()), cfg, rng=1)
+        assert (reference.model is None) == bystander_path
+
+    def test_reference_error_keeps_type_and_message(self, bystander_path):
+        train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
+        cfg = EdaConfig(n_parents=20, n_children=20, generations=4, call_budget=400, n_init=20)
+        with pytest.raises(DegenerateModelError, match="reference fit 2 is degenerate"):
+            run_with_reference(OneMax(6), BornMachineSampler(train), _FailingReference(train),
+                               BoltzmannSelection(AnnealedSchedule()), cfg, rng=2)
+
+    def test_loop_error_cancels_pending_tasks(self, bystander_path, tmp_path):
+        train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
+        cfg = EdaConfig(n_parents=20, n_children=20, generations=10, call_budget=400, n_init=20)
+        log = tmp_path / "fits.log"
+        # batch 1 is the initial population, so generations 1-7 finish and 8 raises
+        with pytest.raises(RuntimeError, match="objective failed"):
+            run_with_reference(_FailingProblem(8, fail_at=9), BornMachineSampler(train), _SlowReference(train, log),
+                               BoltzmannSelection(AnnealedSchedule()), cfg, rng=3)
+        fits = len(log.read_text().splitlines())
+        if bystander_path:
+            # the running task and the two the pool queues behind it may finish; the rest are cancelled
+            assert 1 <= fits <= 3
+        else:
+            assert fits == 7
+
+
+class TestSpareCore:
+    BLAS = tneda.diagnostics._BLAS_THREAD_VARS
+
+    def test_unpinned_blas_runs_inline(self, monkeypatch):
+        for var in self.BLAS:
+            monkeypatch.setenv(var, "1")
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert not tneda.diagnostics._spare_core()
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert not tneda.diagnostics._spare_core()
+
+    def test_pinned_blas_needs_two_cpus(self, monkeypatch):
+        for var in self.BLAS:
+            monkeypatch.setenv(var, "1")
+        spare = len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+        assert tneda.diagnostics._spare_core() == spare
+
+    def test_other_threads_run_inline(self, monkeypatch):
+        for var in self.BLAS:
+            monkeypatch.setenv(var, "1")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert not tneda.diagnostics._spare_core()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def test_multiprocessing_child_runs_inline(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        for var in self.BLAS:
+            monkeypatch.setenv(var, "1")
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(tneda.diagnostics._spare_core).result(timeout=60) is False

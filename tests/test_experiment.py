@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tneda.cli import main, parse_seed_spec
+from tneda.diagnostics import _BLAS_THREAD_VARS
 from tneda.evolve import (
     AnnealedSchedule,
     BoltzmannSelection,
@@ -157,6 +158,12 @@ class TestPresets:
         )
         assert plan.make_reference().train_cfg.chi_max == 20
 
+    def test_empty_diagnostics_stanza_turns_them_on(self):
+        plan = build_solver({"preset": "TN1", "diagnostics": {}})
+        assert plan.diagnostics == _DIAGNOSTICS_DEFAULTS
+        assert plan.make_reference().train_cfg == plan.make_model().train_cfg
+        assert build_solver({"preset": "TN1", "diagnostics": None}).diagnostics is None
+
 
 class _Spy:
     """Forwards to ``inner`` and keeps a copy of what each call saw or made."""
@@ -278,21 +285,27 @@ class TestRunExperiment:
             b = strip(tmp_path / "b" / "results" / f"run_{seed:05d}.jsonl")
             assert a == b
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        config_a = fast_config(tmp_path / "seq", seeds=(0, 1))
-        config_b = fast_config(tmp_path / "par", seeds=(0, 1))
-        run_experiment(config_a, jobs=1)
-        run_experiment(config_b, jobs=2)
-        for seed in (0, 1):
-            a = [
-                {k: v for k, v in json.loads(l).items() if k != "wall_time_s"}
-                for l in (tmp_path / "seq" / "results" / f"run_{seed:05d}.jsonl").read_text().splitlines()
-            ]
-            b = [
-                {k: v for k, v in json.loads(l).items() if k != "wall_time_s"}
-                for l in (tmp_path / "par" / "results" / f"run_{seed:05d}.jsonl").read_text().splitlines()
-            ]
-            assert a == b
+    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
+        # BLAS pinned as bench.py pins it: with diagnostics a sequential run
+        # scores its KLs in a forked worker, each --jobs 2 worker inline
+        for var in _BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        for name, extra in (("plain", None), ("kl", {"diagnostics": {"reference": {"chi": 3}}})):
+            config_a = fast_config(tmp_path / name / "seq", seeds=(0, 1), solver_extra=extra)
+            config_b = fast_config(tmp_path / name / "par", seeds=(0, 1), solver_extra=extra)
+            run_experiment(config_a, jobs=1)
+            run_experiment(config_b, jobs=2)
+            for seed in (0, 1):
+                a = [
+                    {k: v for k, v in json.loads(l).items() if k != "wall_time_s"}
+                    for l in (tmp_path / name / "seq" / "results" / f"run_{seed:05d}.jsonl").read_text().splitlines()
+                ]
+                b = [
+                    {k: v for k, v in json.loads(l).items() if k != "wall_time_s"}
+                    for l in (tmp_path / name / "par" / "results" / f"run_{seed:05d}.jsonl").read_text().splitlines()
+                ]
+                assert a == b
+                assert (a[0]["kl_primary"] is not None) == (extra is not None)
 
     def test_budget_must_exceed_init(self, tmp_path):
         config = fast_config(tmp_path, solver_extra={"call_budget": 40})
@@ -558,6 +571,11 @@ class TestStrictConfig:
         ({"population_update": "replace"}, "unknown solver key 'population_update'"),
         ({"fresh_init": False}, "unknown solver key 'fresh_init'"),
         ({"grad_steps_per_pair": 1}, "unknown solver key 'grad_steps_per_pair'"),
+        ({"diagnostics": True}, "'diagnostics' must be an object, got True"),
+        ({"diagnostics": "on"}, "'diagnostics' must be an object, got 'on'"),
+        ({"diagnostics": {"reference": 5}}, "'diagnostics.reference' must be an object, got 5"),
+        ({"diagnostics": {"mirror_rng": "no"}}, "'diagnostics.mirror_rng' must be true or false, got 'no'"),
+        ({"preset": "BN1", "diagnostics": {}}, "KL diagnostics are supported for the Born-machine model"),
     ])
     def test_rejected_value_exits_2(self, tmp_path, capsys, solver, message):
         code, err = self.run_cli(tmp_path, capsys, solver=solver)
