@@ -36,10 +36,11 @@ from .mps import (
     _gram_left,
     _gram_right,
     _left_step,
+    _qr,
+    _random_tensors,
     _right_step,
     canonicalize_split,
     log_probability,
-    random_init,
 )
 
 _AMP_FLOOR = 1e-290  # guards 1/psi in gradients when a sample has ~zero value
@@ -87,15 +88,16 @@ def _as_data(data) -> np.ndarray:
 
 def _right_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
     """Make sites 1..N-1 right-isometric and normalize the chain to Z = 1."""
-    out = [t.copy() for t in tensors]
+    out = list(tensors)  # sites are only rebound below, so no copies
     for i in range(len(out) - 1, 0, -1):
         chi_l, _, chi_r = out[i].shape
         mat = out[i].reshape(chi_l, 2 * chi_r)
-        q, r = np.linalg.qr(mat.T)
+        q, r = _qr(mat.T)
         k = q.shape[1]
         out[i] = np.ascontiguousarray(q.T.reshape(k, 2, chi_r))
         out[i - 1] = out[i - 1] @ r.T
-    norm = np.linalg.norm(out[0])
+    flat = out[0].reshape(-1)
+    norm = math.sqrt(flat.dot(flat))
     if norm == 0.0:
         raise DegenerateModelError("cannot canonicalize an all-zero network")
     out[0] = out[0] / norm
@@ -286,38 +288,38 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
     is_one = (bits.T == 1)[:, None, :]
     onehots = pair_onehots(bits)
     if init is None:
-        start = random_init(width, cfg.chi_max, EncodingMode.AMPLITUDE, rng)
+        start = _random_tensors(width, cfg.chi_max, EncodingMode.AMPLITUDE, np.random.default_rng(rng))
     else:
         if init.mode is not EncodingMode.AMPLITUDE:
             raise ValueError("init must be an amplitude-mode model")
         if init.n_sites != width:
             raise ValueError("init size does not match data width")
-        start = init
-    tensors = _right_canonicalize(list(start.tensors))
+        start = list(init.tensors)
+    tensors = _right_canonicalize(start)
+    with np.errstate(over="ignore"):  # an overflowing step fails the finiteness check below
+        for _ in range(cfg.sweeps):
+            # right environments over sites j.. for the current tensors
+            rx = [None] * width + [np.ones((1, n))]
+            for j in range(width - 1, 1, -1):
+                rx[j] = _right_step(tensors[j], is_one[j], rx[j + 1])
+            lx = [np.ones((1, n))] + [None] * (width - 1)
 
-    for _ in range(cfg.sweeps):
-        # right environments over sites j.. for the current tensors
-        rx = [None] * width + [np.ones((1, n))]
-        for j in range(width - 1, 1, -1):
-            rx[j] = _right_step(tensors[j], is_one[j], rx[j + 1])
-        lx = [np.ones((1, n))] + [None] * (width - 1)
-
-        for i, absorb, moving in _sweep_pair_schedule(width):
-            theta = _merge(tensors[i], tensors[i + 1])
-            theta = theta - cfg.learning_rate * pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
-            flat = theta.reshape(-1)
-            norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula, without its wrapper
-            if not math.isfinite(norm):
-                raise DegenerateModelError(f"pair {i}: merged tensor is non-finite after a gradient step")
-            if norm == 0.0:
-                raise DegenerateModelError(f"pair {i}: merged tensor trained to zero")
-            theta /= norm
-            left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
-            tensors[i], tensors[i + 1] = left, right
-            if moving == "right":
-                lx[i + 1] = _left_step(lx[i], left, is_one[i])
-            else:
-                rx[i + 1] = _right_step(right, is_one[i + 1], rx[i + 2])
+            for i, absorb, moving in _sweep_pair_schedule(width):
+                theta = _merge(tensors[i], tensors[i + 1])
+                theta = theta - cfg.learning_rate * pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
+                flat = theta.reshape(-1)
+                norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula, without its wrapper
+                if not math.isfinite(norm):
+                    raise DegenerateModelError(f"pair {i}: merged tensor is non-finite after a gradient step")
+                if norm == 0.0:
+                    raise DegenerateModelError(f"pair {i}: merged tensor trained to zero")
+                theta /= norm
+                left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
+                tensors[i], tensors[i + 1] = left, right
+                if moving == "right":
+                    lx[i + 1] = _left_step(lx[i], left, is_one[i])
+                else:
+                    rx[i + 1] = _right_step(right, is_one[i + 1], rx[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.AMPLITUDE, cfg.chi_max)
 

@@ -34,6 +34,12 @@ from enum import Enum
 
 import numpy as np
 
+try:  # numpy 2 names; numpy 1.x splits these gufuncs by shape, so it goes through np.linalg
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced, svd_s as _svd_s
+except ImportError:
+    _svd_s = _qr_r_raw = _qr_reduced = None
+_UPPER: dict[tuple[int, int], np.ndarray] = {}  # upper-triangle masks of R, by shape
+
 
 class EncodingMode(Enum):
     """How the tensor chain encodes a probability distribution."""
@@ -115,7 +121,11 @@ def random_init(n_sites: int, chi: int, mode: EncodingMode, seed) -> Mps:
         raise ValueError("n_sites must be >= 1")
     if chi < 1:
         raise ValueError("chi must be >= 1")
-    rng = np.random.default_rng(seed)
+    return Mps(tuple(_random_tensors(n_sites, chi, mode, np.random.default_rng(seed))), mode, chi)
+
+
+def _random_tensors(n_sites: int, chi: int, mode: EncodingMode, rng: np.random.Generator) -> list[np.ndarray]:
+    """The site tensors :func:`random_init` draws from ``rng``, unvalidated."""
     dims = [1] + [chi] * (n_sites - 1) + [1]
     tensors = []
     for i in range(n_sites):
@@ -126,7 +136,7 @@ def random_init(n_sites: int, chi: int, mode: EncodingMode, seed) -> Mps:
             # 1 - U[0,1) lands in (0, 1], keeping entries strictly positive.
             t = 1.0 - rng.random(size=shape)
         tensors.append(t)
-    return Mps(tuple(tensors), mode, chi)
+    return tensors
 
 
 def _bits_2d(x, n_sites: int) -> tuple[np.ndarray, bool]:
@@ -342,6 +352,30 @@ def apply_diffusion(m: Mps, p_flip: float) -> Mps:
     return Mps(tuple(sites), EncodingMode.DIRECT, m.chi_max * (m.chi_max + 1) // 2)
 
 
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(a, full_matrices=False)`` of a 2-D float64 array: same bits, no wrapper."""
+    if _svd_s is None:
+        return np.linalg.svd(a, full_matrices=False)
+    u, s, vh = _svd_s(a, signature="d->ddd")
+    if s[0] != s[0]:  # no convergence: the gufunc filled NaN and warned of an invalid value
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return u, s, vh
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.qr(a)`` (reduced) of a 2-D float64 array: same bits, no wrapper, ``a`` untouched."""
+    if _qr_r_raw is None:
+        return np.linalg.qr(a)
+    a = a.copy(order="K")  # as np.linalg.qr: LAPACK overwrites it with R and the reflectors
+    tau = _qr_r_raw(a, signature="d->d")
+    q = _qr_reduced(a, tau, signature="dd->d")
+    shape = (q.shape[1], a.shape[1])
+    upper = _UPPER.get(shape)
+    if upper is None:
+        upper = _UPPER[shape] = np.triu(np.ones(shape, dtype=bool))
+    return q, np.where(upper, a[: shape[0]], 0.0)
+
+
 def canonicalize_split(
     theta: np.ndarray,
     chi_max: int | None,
@@ -363,6 +397,10 @@ def canonicalize_split(
 
     Returns:
         (left, right) tensors of shapes (chi_l, 2, k) and (k, 2, chi_r).
+
+    Raises:
+        DegenerateModelError: ``theta`` is all zero.
+        numpy.linalg.LinAlgError: the SVD did not converge, as on a NaN entry.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 4 or theta.shape[1] != 2 or theta.shape[2] != 2:
@@ -373,7 +411,7 @@ def canonicalize_split(
         raise ValueError("absorb must be 'left' or 'right'")
     chi_l, _, _, chi_r = theta.shape
     mat = theta.reshape(chi_l * 2, 2 * chi_r)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = _svd(mat)
     if s[0] == 0.0:  # the largest singular value is zero only for an all-zero tensor
         raise DegenerateModelError("cannot split an all-zero tensor")
     keep = np.count_nonzero(s >= cutoff * s[0])

@@ -34,10 +34,12 @@ from tneda.experiment import (
     build_solver,
     read_records,
     run_experiment,
+    run_single,
     summarize,
     validate_record,
     write_summary_csv,
 )
+import tneda.mps as mps_module
 from tneda.models import TrainConfig
 from tneda.problems import random_knapsack
 
@@ -323,6 +325,38 @@ class TestRunExperiment:
         assert any(r["kl_primary"] is not None or r["kl_primary_infinite"] for r in records)
         for record in records:
             validate_record(record)
+
+
+class TestLapackRecords:
+    """Records are the same whether the Born trainer calls LAPACK directly or through np.linalg."""
+
+    C06_LIKE = {
+        "preset": "TN1", "chi": 5, "learning_rate": 0.1, "schedule": "adaptive", "pool_size": None,
+        "mutation_rate": 0.01, "n_init": 100, "generations": 4, "call_budget": 40_000,
+        "diagnostics": {"reference": {}},
+    }
+
+    @pytest.mark.parametrize(
+        "problem, solver",
+        [
+            (lambda: random_knapsack(30, seed=2024), {"preset": "TN1", "generations": 4}),
+            (
+                lambda: build_problem({"kind": "portfolio_random", "n_assets": 40, "seed": 77,
+                                       "n_min": 8, "n_max": 12, "ward_ordering": True}),
+                C06_LIKE,
+            ),
+        ],
+        ids=["tn1-knapsack30", "c06-like"],
+    )
+    def test_same_records_through_np_linalg(self, monkeypatch, problem, solver):
+        def records():
+            runs = [run_single(problem(), solver, seed, None) for seed in (1, 2, 3)]
+            return json.dumps([[{k: v for k, v in r.items() if k != "wall_time_s"} for r in run] for run in runs])
+
+        direct = records()
+        for name in ("_svd_s", "_qr_r_raw", "_qr_reduced"):
+            monkeypatch.setattr(mps_module, name, None)
+        assert records() == direct
 
 
 class TestSummarize:

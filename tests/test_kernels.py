@@ -14,6 +14,7 @@ keep it off the hot path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,17 @@ class TestTraining:
                 assert other == m
             else:
                 assert_same_model(m, other)
+
+    def test_born_overflow_raises_without_warning(self):
+        # At chi 1 the split leaves 01000 near zero amplitude, so at rate 1
+        # its 1/psi data gradient overflows the merged tensor of pair 1.
+        rows = np.array([[0, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateModelError, match="^pair 1: merged tensor is non-finite"):
+                train_born_machine(rows, TrainConfig(1.0, 1, sweeps=2), rng=3)
+        assert np.geterr() == before
 
     @pytest.mark.parametrize("learning_rate", [0.15, 1.0])
     @pytest.mark.parametrize("chi", CHIS)

@@ -4,6 +4,7 @@ Expected values come from brute-force enumeration oracles computed here,
 independent of the library's sequential-contraction path.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import tneda.mps as mps_module
 from tneda.mps import (
     DegenerateModelError,
     EncodingMode,
@@ -355,6 +357,16 @@ class TestCanonicalizeSplit:
     def test_nan_entry_raises_linalg_error(self):
         theta = np.random.default_rng(16).normal(size=(3, 2, 2, 3))
         theta[1, 0, 1, 2] = np.nan
+        # The LAPACK gufunc reports its non-convergence as an invalid value.
+        direct = mps_module._svd_s is not None
+        warns = pytest.warns(RuntimeWarning, match="invalid value") if direct else contextlib.nullcontext()
+        with warns, pytest.raises(np.linalg.LinAlgError):
+            canonicalize_split(theta, chi_max=None, cutoff=1e-6)
+
+    def test_nan_entry_raises_linalg_error_through_np_linalg(self, monkeypatch):
+        monkeypatch.setattr(mps_module, "_svd_s", None)
+        theta = np.random.default_rng(16).normal(size=(3, 2, 2, 3))
+        theta[1, 0, 1, 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             canonicalize_split(theta, chi_max=None, cutoff=1e-6)
 
@@ -370,3 +382,52 @@ class TestCanonicalizeSplit:
         assert a.shape[2] == b.shape[0] == 3
         a, b = canonicalize_split(theta, chi_max=None, cutoff=np.nextafter(0.25, 1.0), absorb=absorb)
         assert a.shape[2] == b.shape[0] == 2
+
+
+def _test_matrix(kind: str, rows: int, cols: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "rank_deficient":
+        rank = max(1, min(rows, cols) - 1 - seed % 3)
+        return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+    if kind == "transposed":
+        return rng.normal(size=(cols, rows)).T
+    if kind == "strided":
+        return rng.normal(size=(2 * rows, 3 * cols))[::2, ::3]
+    return rng.normal(size=(rows, cols))
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestLapackHelpers:
+    """``_svd`` and ``_qr`` call numpy's LAPACK gufuncs and give np.linalg's bits."""
+
+    @given(
+        kind=st.sampled_from(["dense", "zero", "rank_deficient", "transposed", "strided"]),
+        rows=st.integers(1, 25),
+        cols=st.integers(1, 25),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_bit_equal_to_np_linalg(self, kind, rows, cols, seed):
+        a = _test_matrix(kind, rows, cols, seed)
+        before = a.copy()
+        svd, qr = mps_module._svd(a), mps_module._qr(a)
+        _same_bits(svd, np.linalg.svd(a, full_matrices=False))
+        _same_bits(qr, np.linalg.qr(a))
+        _same_bits([a], [before])  # LAPACK's QR works on a copy
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_svd_s", "_qr_r_raw", "_qr_reduced"):
+                patch.setattr(mps_module, name, None)
+            _same_bits(mps_module._svd(a), svd)
+            _same_bits(mps_module._qr(a), qr)
+
+    def test_gufuncs_found(self):
+        # The numpy this suite runs on has the gufunc names the helpers look up.
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert None not in (mps_module._svd_s, mps_module._qr_r_raw, mps_module._qr_reduced)
