@@ -549,8 +549,7 @@ class TestCli:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", str(path)]) == 4
+        assert main(["run", "--config", str(path)]) == 4
         assert "numerical error: pair 0: merged tensor is non-finite" in capsys.readouterr().err
 
 
