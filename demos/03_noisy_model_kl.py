@@ -28,24 +28,24 @@ cfg = EdaConfig(
     mutation_rate=0.01, call_budget=5000, n_init=100,
 )
 
-result = run_with_reference(
+records = list(run_with_reference(
     problem,
     BornMachineSampler(train),
     BornMachineSampler(train),
     BoltzmannSelection(AdaptiveGapSchedule()),
     cfg,
     rng=3,
-)
+))
 
 print("gen   best objective   KL(noisy)   KL(noiseless)   delta")
-for record, report in zip(result.records, result.reports):
+for record in records:
     print(
         f"{record.generation:3d}   {record.best_objective:14.6e}"
-        f"   {report.kl_primary:9.4f}   {report.kl_reference:13.4f}"
-        f"   {report.delta:+.4f}"
+        f"   {record.kl_primary:9.4f}   {record.kl_reference:13.4f}"
+        f"   {record.kl_delta:+.4f}"
     )
 
-deltas = [r.delta for r in result.reports if r.delta is not None]
+deltas = [r.kl_delta for r in records if r.kl_delta is not None]
 print(f"\nKL delta positive in {sum(d > 0 for d in deltas)}/{len(deltas)} generations:")
 print("the mutated model is consistently the worse generative model,")
 print("even while the optimization run converges.")

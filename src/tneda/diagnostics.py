@@ -10,6 +10,10 @@ The model actually driving the run is "sample, then flip bits", whose
 distribution is the diffused model; its KL scores every pool string with
 the exact diffusion construction, for a Born machine of bond chi a DIRECT
 network of bond chi(chi+1)/2 (:func:`tneda.mps.apply_diffusion`).
+
+:func:`run_with_reference` consumes :func:`tneda.evolve.generations` and
+yields each generation's record with its KL fields filled as soon as its
+scores are known.
 """
 
 from __future__ import annotations
@@ -17,37 +21,16 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
-from .evolve import BoltzmannSelection, EdaConfig, RunRecord, boltzmann_weights, run_eda
+from .evolve import BoltzmannSelection, EdaConfig, RunRecord, boltzmann_weights, generations
+from .evolve import run_eda  # noqa: F401  unused here; bench/tracing.py patches this binding
 from .models import FiniteDistribution, model_log_probability
 from .mps import Mps, apply_diffusion
-
-
-@dataclass(frozen=True)
-class KlReport:
-    """Per-generation KL of the run's model and the reference model.
-
-    ``delta = kl_primary - kl_reference`` when both are finite, else
-    ``None``; the ``*_zero_support`` counts say on how many pool strings
-    each model put probability zero (nonzero count means infinite KL).
-    """
-
-    generation: int
-    kl_primary: float
-    kl_reference: float
-    delta: float | None
-    primary_zero_support: int
-    reference_zero_support: int
-
-
-@dataclass(frozen=True)
-class ReferenceRunResult:
-    records: list[RunRecord]
-    reports: list[KlReport]
 
 
 def kl_details(model, target: FiniteDistribution) -> tuple[float, int]:
@@ -117,6 +100,17 @@ def _score_held(*args):
     return _held_score(*args)
 
 
+def _with_kl(record: RunRecord, scores: tuple[float, int, float, int]) -> RunRecord:
+    """``record`` with the KL fields of its generation's scores filled.
+
+    ``kl_delta = kl_primary - kl_reference`` when both are finite, else ``None``.
+    """
+    kl_primary, _, kl_reference, _ = scores
+    finite = math.isfinite(kl_primary) and math.isfinite(kl_reference)
+    delta = kl_primary - kl_reference if finite else None
+    return replace(record, kl_primary=kl_primary, kl_reference=kl_reference, kl_delta=delta)
+
+
 def run_with_reference(
     problem,
     primary,
@@ -125,8 +119,7 @@ def run_with_reference(
     cfg: EdaConfig,
     rng,
     mirror_reference_rng: bool = False,
-    observer=None,
-) -> ReferenceRunResult:
+):
     """Run the EDA on ``primary`` while training ``reference`` in parallel.
 
     Each generation both models train on the identical parent sample; only
@@ -135,12 +128,13 @@ def run_with_reference(
 
     The reference fit and both KLs never feed back into the run, so when a
     core is spare (see :func:`_spare_core`) they run in one forked worker
-    process beside the loop, one task per generation, and are joined after
-    the last generation; otherwise each runs inline at the end of its
-    generation. Both ways give the same records and reports. A worker
-    error is raised with its type and message at the join. The reference
-    is then fitted in the worker, so the caller's ``reference.model`` is
-    not updated.
+    process beside the loop, one task per generation; otherwise each runs
+    inline when its generation ends. Both ways yield the same records. A
+    worker error is raised with its type and message when its generation's
+    record is due. The reference is then fitted in the worker, so the
+    caller's ``reference.model`` is not updated. Closing the generator
+    early cancels the tasks not yet started and waits for the worker to
+    exit.
 
     Args:
         problem: objective to optimize.
@@ -155,33 +149,17 @@ def run_with_reference(
         mirror_reference_rng: give the reference the same per-generation
             training stream as the primary, so identical configs produce
             delta = 0 exactly.
-        observer: optional callback receiving each generation's context
-            after its bystander task is handed on.
 
-    Returns:
-        Run records (KL fields filled) and one :class:`KlReport` per
-        generation.
+    Yields:
+        The run's records in generation order, KL fields filled: inline at
+        once, with a worker as soon as the oldest pending task is done,
+        never waiting on the newest; the rest after the last generation.
     """
     if not isinstance(selection, BoltzmannSelection):
         raise ValueError("KL diagnostics require Boltzmann selection")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     ref_stream = rng.spawn(1)[0]
     score = partial(_score_generation, reference, cfg.mutation_rate)
-    loop_records: list[RunRecord] = []
-    scores = []  # per generation: the KL scores, or in a worker their future
-
-    def observe(ctx):
-        ref_seed = ctx.fit_seed if mirror_reference_rng else int(ref_stream.integers(0, 2**63 - 1))
-        primary_model = ctx.model.model
-        if cfg.mutation_rate > 0 and not isinstance(primary_model, Mps):
-            raise NotImplementedError("diffused KL is implemented for tensor-network models only")
-        # a worker's arrays are sent after the loop moves on; banked rows and parents are never rewritten
-        args = (ctx.parents, ref_seed, primary_model, ctx.pool_strings, ctx.pool_values, ctx.temperature)
-        scores.append(submit(*args))
-        loop_records.append(ctx.record)
-        if observer is not None:
-            observer(ctx)
-
     pool = None
     if _spare_core():
         import multiprocessing
@@ -191,31 +169,21 @@ def run_with_reference(
         context = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(1, mp_context=context, initializer=_hold, initargs=(score,))
     submit = score if pool is None else partial(pool.submit, _score_held)
+    pending = deque()  # (record, its scores or in a worker their future), oldest first
     try:
-        run_eda(problem, primary, selection, cfg, rng, observer=observe)
-        if pool is not None:
-            scores = [future.result() for future in scores]
+        for ctx in generations(problem, primary, selection, cfg, rng):
+            ref_seed = ctx.fit_seed if mirror_reference_rng else int(ref_stream.integers(0, 2**63 - 1))
+            primary_model = ctx.model.model
+            if cfg.mutation_rate > 0 and not isinstance(primary_model, Mps):
+                raise NotImplementedError("diffused KL is implemented for tensor-network models only")
+            # a worker's arrays are sent after the loop moves on; banked rows and parents are never rewritten
+            args = (ctx.parents, ref_seed, primary_model, ctx.pool_strings, ctx.pool_values, ctx.temperature)
+            pending.append((ctx.record, submit(*args)))
+            while pending and (pool is None or pending[0][1].done()):
+                record, scores = pending.popleft()
+                yield _with_kl(record, scores if pool is None else scores.result())
+        for record, future in pending:
+            yield _with_kl(record, future.result())
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-    records: list[RunRecord] = []
-    reports: list[KlReport] = []
-    for record, (kl_primary, zeros_primary, kl_reference, zeros_reference) in zip(loop_records, scores):
-        delta = (
-            kl_primary - kl_reference
-            if math.isfinite(kl_primary) and math.isfinite(kl_reference)
-            else None
-        )
-        reports.append(
-            KlReport(
-                generation=record.generation,
-                kl_primary=kl_primary,
-                kl_reference=kl_reference,
-                delta=delta,
-                primary_zero_support=zeros_primary,
-                reference_zero_support=zeros_reference,
-            )
-        )
-        records.append(replace(record, kl_primary=kl_primary, kl_reference=kl_reference, kl_delta=delta))
-    return ReferenceRunResult(records=records, reports=reports)

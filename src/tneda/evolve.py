@@ -5,7 +5,8 @@ historical bank, or tournament or greedy top-k over the population, the
 last generation's evaluated children), fit or update the generative
 model, sample children, mutate them, evaluate the ones never seen before,
 and record telemetry. The function-call budget counts distinct evaluated
-strings; duplicates never consume budget.
+strings; duplicates never consume budget. :func:`generations` yields
+each generation as it ends; :func:`run_eda` collects their records.
 
 A plain genetic algorithm fits the same loop with two-point crossover
 standing in for the generative model.
@@ -14,9 +15,9 @@ standing in for the generative model.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
@@ -534,7 +535,9 @@ class RunRecord:
     ``median_objective`` is the median over this generation's children with
     known objective values (new evaluations plus rediscovered bank entries);
     NaN when no child value is known. KL fields are filled only by
-    diagnostics-instrumented runs.
+    diagnostics-instrumented runs. ``wall_time_s`` is the seconds from the
+    run's start, before its initial evaluation, to this record; ``==``
+    ignores it, so two runs with the same seed compare equal.
     """
 
     generation: int
@@ -546,11 +549,16 @@ class RunRecord:
     kl_primary: float | None = None
     kl_reference: float | None = None
     kl_delta: float | None = None
+    wall_time_s: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass
 class GenerationContext:
-    """Snapshot handed to a run observer at the end of each generation."""
+    """One generation as :func:`generations` yields it, record included.
+
+    ``model`` and ``bank`` are the run's live objects: the next generation
+    refits the one and grows the other.
+    """
 
     generation: int
     temperature: float | None
@@ -563,15 +571,8 @@ class GenerationContext:
     record: RunRecord
 
 
-def run_eda(
-    problem,
-    model,
-    selection,
-    cfg: EdaConfig,
-    rng,
-    observer: Callable[[GenerationContext], None] | None = None,
-) -> list[RunRecord]:
-    """Run the selection / fit / sample / mutate / evaluate loop.
+def generations(problem, model, selection, cfg: EdaConfig, rng):
+    """Run the selection / fit / sample / mutate / evaluate loop, one generation per step.
 
     Args:
         problem: objective with ``n_bits`` and ``evaluate_batch``.
@@ -581,12 +582,12 @@ def run_eda(
             ``None``): Boltzmann, tournament or greedy.
         cfg: loop configuration.
         rng: generator or integer seed; drives everything in the run.
-        observer: optional callback receiving a :class:`GenerationContext`
-            at the end of every generation (used by KL diagnostics).
 
-    Returns:
-        One :class:`RunRecord` per completed generation.
+    Yields:
+        A :class:`GenerationContext` at the end of every completed
+        generation. The run continues when the caller asks for the next.
     """
+    started = time.perf_counter()
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     n_bits = problem.n_bits
     n_init = cfg.n_init or cfg.n_children
@@ -597,7 +598,6 @@ def run_eda(
 
     population = (bank.strings.copy(), bank.values.copy())
 
-    records: list[RunRecord] = []
     for generation in range(1, cfg.generations + 1):
         if len(bank) >= cfg.call_budget:
             break
@@ -631,25 +631,24 @@ def run_eda(
             calls=len(bank),
             n_new=n_new,
             temperature=temperature,
+            wall_time_s=time.perf_counter() - started,
         )
-        records.append(record)
-
-        if observer is not None:
-            observer(
-                GenerationContext(
-                    generation=generation,
-                    temperature=temperature,
-                    parents=parents,
-                    model=model,
-                    bank=bank,
-                    pool_strings=pool_strings,
-                    pool_values=pool_values,
-                    fit_seed=fit_seed,
-                    record=record,
-                )
-            )
+        yield GenerationContext(
+            generation=generation,
+            temperature=temperature,
+            parents=parents,
+            model=model,
+            bank=bank,
+            pool_strings=pool_strings,
+            pool_values=pool_values,
+            fit_seed=fit_seed,
+            record=record,
+        )
 
         if cfg.target_objective is not None and best_value <= cfg.target_objective + 1e-9:
             break
 
-    return records
+
+def run_eda(problem, model, selection, cfg: EdaConfig, rng) -> list[RunRecord]:
+    """The records of a whole run of :func:`generations`, one per completed generation."""
+    return [ctx.record for ctx in generations(problem, model, selection, cfg, rng)]

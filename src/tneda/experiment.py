@@ -7,7 +7,9 @@ aggregates medians, quartiles, means, and standard errors per generation.
 The artifact emits data, not plots.
 
 Records are deterministic for a fixed config and seed except for the
-``wall_time_s`` field.
+``wall_time_s`` field: the seconds from the run's start to the end of
+the record's generation, as the loop stamps them on its
+:class:`tneda.evolve.RunRecord`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -409,14 +411,8 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
     """One seeded run; returns per-generation record dicts."""
     plan = build_solver(solver_spec)
     model = plan.make_model()
-    started = time.perf_counter()
-    elapsed: list[float] = []
-
-    def clock(_ctx):
-        elapsed.append(time.perf_counter() - started)
-
     if plan.diagnostics is not None:
-        result = run_with_reference(
+        records = run_with_reference(
             problem,
             model,
             plan.make_reference(),
@@ -424,15 +420,10 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
             plan.cfg,
             rng=seed,
             mirror_reference_rng=plan.diagnostics["mirror_rng"],
-            observer=clock,
         )
-        records = result.records
     else:
-        records = run_eda(problem, model, plan.selection, plan.cfg, rng=seed, observer=clock)
-    return [
-        record_to_dict(rec, seed, optimum, wall)
-        for rec, wall in zip(records, elapsed)
-    ]
+        records = run_eda(problem, model, plan.selection, plan.cfg, rng=seed)
+    return [record_to_dict(rec, seed, optimum, rec.wall_time_s) for rec in records]
 
 
 def _run_seed_task(args):
@@ -440,10 +431,35 @@ def _run_seed_task(args):
     return seed, run_single(problem, solver_spec, seed, optimum)
 
 
+def _seed_runs(tasks, jobs: int):
+    """(seed, records) of each task in order, each as soon as it and those before it are done."""
+    if jobs <= 1:
+        yield from map(_run_seed_task, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing, about 13 ms
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_run_seed_task, tasks)
+
+
+def _write_run(path: Path, records: list[dict]) -> None:
+    """Write a run file whole or not at all: through a temp file beside it, then a rename."""
+    temp = path.with_name(f".{path.name}.temp")
+    try:
+        with open(temp, "w") as fh:
+            for record in records:
+                fh.write(json.dumps(record, allow_nan=False) + "\n")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     """Execute the full seed grid and write run files plus the summary.
 
-    Returns a manifest with the written paths.
+    Each seed's run file is written as soon as its records and those of
+    the seeds before it are back, so a failing seed keeps the files of the
+    seeds before it. Returns a manifest with the written paths.
     """
     problem = build_problem(config.problem)
     build_solver(config.solver)  # early validation of the solver stanza
@@ -452,22 +468,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(problem, config.solver, seed, optimum) for seed in config.seeds]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing, about 13 ms
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            by_seed = dict(pool.map(_run_seed_task, tasks))
-        results = [(seed, by_seed[seed]) for seed in config.seeds]
-    else:
-        results = [(seed, run_single(problem, config.solver, seed, optimum)) for seed in config.seeds]
-
     run_paths = []
     all_records: list[dict] = []
-    for seed, records in results:
+    for seed, records in _seed_runs(tasks, jobs):
         path = out / f"run_{seed:05d}.jsonl"
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
+        _write_run(path, records)
         run_paths.append(str(path))
         all_records.extend(records)
 

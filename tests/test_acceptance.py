@@ -212,12 +212,12 @@ def test_c06_mutation_benefit_portfolio():
     noisy_finals = []
     delta_series = []
     for seed in range(20):
-        result = run_with_reference(
+        records = list(run_with_reference(
             problem, BornMachineSampler(train), BornMachineSampler(train),
             selection, loop_cfg(0.01), rng=seed,
-        )
-        noisy_finals.append(result.records[-1].best_objective)
-        delta_series.append([r.delta for r in result.reports])
+        ))
+        noisy_finals.append(records[-1].best_objective)
+        delta_series.append([r.kl_delta for r in records])
 
     plain_finals = []
     for seed in range(20):

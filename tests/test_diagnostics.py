@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tneda.diagnostics
-from tneda.diagnostics import KlReport, kl_details, run_with_reference
+from tneda.diagnostics import kl_details, run_with_reference
 from tneda.evolve import (
     AdaptiveGapSchedule,
     AnnealedSchedule,
@@ -19,6 +19,7 @@ from tneda.evolve import (
     BornMachineSampler,
     EdaConfig,
     boltzmann_weights,
+    generations,
     top_k_pool,
 )
 from tneda.models import FiniteDistribution, TrainConfig
@@ -139,37 +140,35 @@ def small_run(mutation_rate, mirror, seed=0, reference_cfg=None):
         n_parents=40, n_children=40, generations=5, mutation_rate=mutation_rate,
         call_budget=400, n_init=40,
     )
-    return run_with_reference(
+    return list(run_with_reference(
         problem, primary, reference, BoltzmannSelection(AnnealedSchedule()), cfg,
         rng=seed, mirror_reference_rng=mirror,
-    )
+    ))
 
 
 class TestRunWithReference:
     def test_identical_configs_mirrored_rng_zero_delta(self):
-        result = small_run(mutation_rate=0.0, mirror=True)
-        assert result.reports
-        for report in result.reports:
-            assert report.delta == pytest.approx(0.0, abs=1e-12)
+        records = small_run(mutation_rate=0.0, mirror=True)
+        assert records
+        for record in records:
+            assert record.kl_delta == pytest.approx(0.0, abs=1e-12)
 
     def test_reports_and_records_align(self):
-        result = small_run(mutation_rate=0.01, mirror=False, seed=3)
-        assert len(result.reports) == len(result.records)
-        for rec, rep in zip(result.records, result.reports):
-            assert rec.generation == rep.generation
-            assert rec.kl_primary == rep.kl_primary
-            assert rep.kl_primary >= 0
-            assert rep.kl_reference >= 0
-            if rep.delta is not None:
-                assert rep.delta == pytest.approx(rep.kl_primary - rep.kl_reference)
+        records = small_run(mutation_rate=0.01, mirror=False, seed=3)
+        assert [rec.generation for rec in records] == list(range(1, len(records) + 1))
+        for rec in records:
+            assert rec.kl_primary >= 0
+            assert rec.kl_reference >= 0
+            if rec.kl_delta is not None:
+                assert rec.kl_delta == pytest.approx(rec.kl_primary - rec.kl_reference)
 
     def test_reference_is_bystander(self):
         """The primary trajectory must not depend on the reference config."""
         a = small_run(0.01, mirror=False, seed=5)
         big = TrainConfig(learning_rate=0.1, chi_max=5, sweeps=2)
         b = small_run(0.01, mirror=False, seed=5, reference_cfg=big)
-        assert [r.best_objective for r in a.records] == [r.best_objective for r in b.records]
-        assert [r.kl_primary for r in a.reports] == [r.kl_primary for r in b.reports]
+        assert [r.best_objective for r in a] == [r.best_objective for r in b]
+        assert [r.kl_primary for r in a] == [r.kl_primary for r in b]
 
     def test_portfolio_run_with_adaptive_temperature(self):
         sigma = random_covariance(12, seed=1)
@@ -179,16 +178,16 @@ class TestRunWithReference:
             n_parents=50, n_children=50, generations=4, mutation_rate=0.01,
             call_budget=500, n_init=50,
         )
-        result = run_with_reference(
+        records = list(run_with_reference(
             problem,
             BornMachineSampler(train),
             BornMachineSampler(train),
             BoltzmannSelection(AdaptiveGapSchedule()),
             cfg,
             rng=9,
-        )
-        assert len(result.reports) == 4
-        assert all(math.isfinite(r.kl_primary) for r in result.reports)
+        ))
+        assert len(records) == 4
+        assert all(math.isfinite(r.kl_primary) for r in records)
 
     def test_kl_primary_matches_dense_oracle(self):
         """The in-run diffused KL equals the full 2^N x 2^N computation.
@@ -204,28 +203,22 @@ class TestRunWithReference:
             call_budget=300, n_init=30,
         )
         selection = BoltzmannSelection(AnnealedSchedule())
-        result = run_with_reference(
+        records = list(run_with_reference(
             problem, BornMachineSampler(train), BornMachineSampler(train),
             selection, cfg, rng=17,
-        )
+        ))
 
-        captured = []
-        from tneda.evolve import run_eda
-
-        def capture(ctx):
-            captured.append(
-                (ctx.pool_strings.copy(), ctx.pool_values.copy(), ctx.temperature,
-                 ctx.model.model)
-            )
-
-        run_eda(problem, BornMachineSampler(train), selection, cfg, rng=17, observer=capture)
+        captured = [
+            (ctx.pool_strings.copy(), ctx.pool_values.copy(), ctx.temperature, ctx.model.model)
+            for ctx in generations(problem, BornMachineSampler(train), selection, cfg, rng=17)
+        ]
 
         d = np.array([[0.99, 0.01], [0.01, 0.99]])
         kernel = np.ones((1, 1))
         for _ in range(8):
             kernel = np.kron(kernel, d)
         strings = all_bitstrings(8)
-        for report, (pool, values, temperature, model) in zip(result.reports, captured):
+        for record, (pool, values, temperature, model) in zip(records, captured):
             vals = np.empty(256)
             for pos, bits in enumerate(strings):
                 v = np.ones((1, 1))
@@ -237,20 +230,20 @@ class TestRunWithReference:
             w /= w.sum()
             idx = pool.astype(np.int64) @ (1 << np.arange(7, -1, -1))
             oracle = float(np.sum(w * (np.log(w) - np.log(q_tilde[idx]))))
-            assert report.kl_primary == pytest.approx(oracle, abs=1e-9)
+            assert record.kl_primary == pytest.approx(oracle, abs=1e-9)
 
     def test_requires_boltzmann_selection(self):
         from tneda.evolve import TournamentSelection
 
         with pytest.raises(ValueError):
-            run_with_reference(
+            list(run_with_reference(
                 OneMax(6),
                 BornMachineSampler(TrainConfig(learning_rate=0.1, chi_max=2)),
                 BornMachineSampler(TrainConfig(learning_rate=0.1, chi_max=2)),
                 TournamentSelection(3),
                 EdaConfig(n_parents=10, n_children=10, generations=2, call_budget=100, n_init=10),
                 rng=0,
-            )
+            ))
 
 
 @pytest.fixture(params=[True, False], ids=["worker", "inline"])
@@ -313,26 +306,25 @@ class TestBystanderWorker:
         for forced in (True, False):
             monkeypatch.setattr(tneda.diagnostics, "_spare_core", lambda forced=forced: forced)
             results[forced] = small_run(mutation_rate, mirror, seed=11)
-        assert results[True].records == results[False].records
-        assert results[True].reports == results[False].reports  # KL floats compare exactly
+        assert results[True] == results[False]  # KL floats compare exactly
         if mirror:
-            assert all(report.delta == 0.0 for report in results[True].reports)
+            assert all(record.kl_delta == 0.0 for record in results[True])
         assert multiprocessing.active_children() == []
 
     def test_worker_leaves_the_callers_reference_unfitted(self, bystander_path):
         train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
         reference = BornMachineSampler(train)
         cfg = EdaConfig(n_parents=20, n_children=20, generations=2, call_budget=200, n_init=20)
-        run_with_reference(OneMax(6), BornMachineSampler(train), reference,
-                           BoltzmannSelection(AnnealedSchedule()), cfg, rng=1)
+        list(run_with_reference(OneMax(6), BornMachineSampler(train), reference,
+                                BoltzmannSelection(AnnealedSchedule()), cfg, rng=1))
         assert (reference.model is None) == bystander_path
 
     def test_reference_error_keeps_type_and_message(self, bystander_path):
         train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
         cfg = EdaConfig(n_parents=20, n_children=20, generations=4, call_budget=400, n_init=20)
         with pytest.raises(DegenerateModelError, match="reference fit 2 is degenerate"):
-            run_with_reference(OneMax(6), BornMachineSampler(train), _FailingReference(train),
-                               BoltzmannSelection(AnnealedSchedule()), cfg, rng=2)
+            list(run_with_reference(OneMax(6), BornMachineSampler(train), _FailingReference(train),
+                                    BoltzmannSelection(AnnealedSchedule()), cfg, rng=2))
 
     def test_loop_error_cancels_pending_tasks(self, bystander_path, tmp_path):
         train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
@@ -340,14 +332,28 @@ class TestBystanderWorker:
         log = tmp_path / "fits.log"
         # batch 1 is the initial population, so generations 1-7 finish and 8 raises
         with pytest.raises(RuntimeError, match="objective failed"):
-            run_with_reference(_FailingProblem(8, fail_at=9), BornMachineSampler(train), _SlowReference(train, log),
-                               BoltzmannSelection(AnnealedSchedule()), cfg, rng=3)
+            list(run_with_reference(_FailingProblem(8, fail_at=9), BornMachineSampler(train),
+                                    _SlowReference(train, log), BoltzmannSelection(AnnealedSchedule()), cfg, rng=3))
         fits = len(log.read_text().splitlines())
         if bystander_path:
             # the running task and the two the pool queues behind it may finish; the rest are cancelled
             assert 1 <= fits <= 3
         else:
             assert fits == 7
+
+    def test_closing_after_the_first_record_leaves_no_child(self, bystander_path, tmp_path):
+        train = TrainConfig(learning_rate=0.1, chi_max=2, sweeps=1)
+        cfg = EdaConfig(n_parents=20, n_children=20, generations=10, call_budget=400, n_init=20)
+        log = tmp_path / "fits.log"
+        records = run_with_reference(OneMax(8), BornMachineSampler(train), _SlowReference(train, log),
+                                     BoltzmannSelection(AnnealedSchedule()), cfg, rng=3)
+        first = next(records)
+        records.close()
+        assert first.generation == 1 and first.kl_primary is not None
+        assert multiprocessing.active_children() == []
+        fits = len(log.read_text().splitlines())
+        # inline, generation 1's record comes before generation 2 starts; a worker never runs all ten
+        assert (1 <= fits < 10) if bystander_path else fits == 1
 
 
 class TestSpareCore:

@@ -1,6 +1,7 @@
 """Selection operators, variation operators, and the full EDA loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tneda.evolve import (
     boltzmann_select,
     boltzmann_weights,
     greedy_select,
+    generations,
     mutate,
     run_eda,
     top_k_indices,
@@ -468,6 +470,42 @@ def quick_config(**overrides):
     )
     base.update(overrides)
     return EdaConfig(**base)
+
+
+class _CountingOneMax(OneMax):
+    """OneMax that counts its ``evaluate_batch`` calls."""
+
+    def __init__(self, n_bits):
+        super().__init__(n_bits)
+        self.batches = 0
+
+    def evaluate_batch(self, x):
+        self.batches += 1
+        return super().evaluate_batch(x)
+
+
+class TestGenerations:
+    def test_yields_each_generation_after_its_evaluation(self):
+        # 40 bits: every generation has unseen children, so each evaluates once
+        problem = _CountingOneMax(40)
+        steps = generations(problem, ChainBayesSampler(), BoltzmannSelection(AnnealedSchedule()),
+                            quick_config(generations=4), rng=9)
+        for g in range(1, 5):
+            ctx = next(steps)
+            assert (ctx.generation, problem.batches) == (g, g + 1)
+        with pytest.raises(StopIteration):
+            next(steps)
+
+    def test_wall_time_increases_and_is_ignored_by_equality(self):
+        problem = random_knapsack(12, seed=1)
+        run = lambda: run_eda(problem, ChainBayesSampler(), BoltzmannSelection(AnnealedSchedule()),  # noqa: E731
+                              quick_config(generations=6), rng=4)
+        first, second = run(), run()
+        for records in (first, second):
+            wall = [r.wall_time_s for r in records]
+            assert 0 < wall[0] and all(b > a for a, b in zip(wall, wall[1:]))
+        assert first == second
+        assert first[0] == replace(first[0], wall_time_s=first[0].wall_time_s + 1.0)
 
 
 class TestRunEda:

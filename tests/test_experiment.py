@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tneda.experiment
 from tneda.cli import main, parse_seed_spec
 from tneda.diagnostics import _BLAS_THREAD_VARS
 from tneda.evolve import (
@@ -21,7 +22,7 @@ from tneda.evolve import (
     GreedyTopK,
     PositiveMpsSampler,
     TournamentSelection,
-    run_eda,
+    generations,
 )
 from tneda.experiment import (
     _DIAGNOSTICS_DEFAULTS,
@@ -199,8 +200,9 @@ class TestPopulation:
                              "call_budget": 10_000, "elitism": elitism})
         problem = random_knapsack(16, seed=0)
         selection, model, best = _Spy(plan.selection), _Spy(plan.make_model()), []
-        records = run_eda(problem, model, selection, plan.cfg, rng=3, observer=lambda ctx: best.append(ctx.bank.best()))
-        assert len(records) == 8
+        for ctx in generations(problem, model, selection, plan.cfg, rng=3):
+            best.append(ctx.bank.best())
+        assert len(best) == 8
         elite_used = 0
         for generation in range(2, 9):
             children = model.samples[generation - 2].copy()
@@ -308,6 +310,24 @@ class TestRunExperiment:
                 ]
                 assert a == b
                 assert (a[0]["kl_primary"] is not None) == (extra is not None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_seed_keeps_the_files_before_it(self, tmp_path, monkeypatch, jobs):
+        whole = run_experiment(fast_config(tmp_path / "whole", seeds=(0,)))
+        run_single = tneda.experiment.run_single
+
+        def fail_on_seed_1(problem, solver_spec, seed, optimum):
+            if seed == 1:
+                raise RuntimeError("seed 1 failed")
+            return run_single(problem, solver_spec, seed, optimum)
+
+        monkeypatch.setattr(tneda.experiment, "run_single", fail_on_seed_1)
+        with pytest.raises(RuntimeError, match="seed 1 failed"):
+            run_experiment(fast_config(tmp_path / "grid", seeds=(0, 1, 2)), jobs=jobs)
+        out = tmp_path / "grid" / "results"
+        assert [p.name for p in out.iterdir()] == ["run_00000.jsonl"]  # no temp file, no seed 2, no summary
+        strip = lambda path: [{k: v for k, v in r.items() if k != "wall_time_s"} for r in read_records(path)]  # noqa: E731
+        assert strip(out / "run_00000.jsonl") == strip(whole["runs"][0])
 
     def test_budget_must_exceed_init(self, tmp_path):
         config = fast_config(tmp_path, solver_extra={"call_budget": 40})
