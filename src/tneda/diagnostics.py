@@ -157,7 +157,7 @@ def run_with_reference(
     """
     if not isinstance(selection, BoltzmannSelection):
         raise ValueError("KL diagnostics require Boltzmann selection")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     ref_stream = rng.spawn(1)[0]
     score = partial(_score_generation, reference, cfg.mutation_rate)
     pool = None

@@ -356,7 +356,7 @@ def boltzmann_select(pool, n: int, temperature: float, rng=None) -> np.ndarray:
         (n, N) int8 array of selected strings.
     """
     strings, values = _pool_arrays(pool)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     idx = rng.choice(strings.shape[0], size=n, replace=True, p=boltzmann_weights(values, temperature))
     return strings[idx].astype(np.int8, copy=True)
 
@@ -364,7 +364,7 @@ def boltzmann_select(pool, n: int, temperature: float, rng=None) -> np.ndarray:
 def tournament_select(pool, n: int, arity: int, rng) -> np.ndarray:
     """Each output is the best of ``arity`` uniform draws; ties uniform."""
     strings, values = _pool_arrays(pool)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     contenders = rng.integers(0, strings.shape[0], size=(n, arity))
     scores = values[contenders]
     best = scores.min(axis=1, keepdims=True)
@@ -397,7 +397,7 @@ def mutate(x, p_flip: float, rng) -> np.ndarray:
     """Flip each bit independently with probability p_flip."""
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must lie in [0, 1]")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     bits = np.asarray(x, dtype=np.int8)
     flips = (rng.random(bits.shape) < p_flip).astype(np.int8)
     return np.bitwise_xor(bits, flips)
@@ -588,7 +588,7 @@ def generations(problem, model, selection, cfg: EdaConfig, rng):
         generation. The run continues when the caller asks for the next.
     """
     started = time.perf_counter()
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     n_bits = problem.n_bits
     n_init = cfg.n_init or cfg.n_children
 

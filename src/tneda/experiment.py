@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,23 +62,48 @@ class ConfigError(ValueError):
 _POPULATION = 1000
 _BUDGET = 60_000
 _T_MAX = _BUDGET // _POPULATION
+_NO_VALUE = object()  # the default of a key a stanza must give, and a value of the wrong type
 
-#: Every solver key and its default; a preset or a stanza overrides any of them.
-_SOLVER_DEFAULTS = {
-    "model": None,  # born, positive_mps, chain_bayes or crossover
-    "selection": None,  # boltzmann, tournament or greedy
+
+def _seed_list(value):
+    """The seeds of a nonempty list of integers or of ``{"start": s, "count": n}``."""
+    if type(value) is dict and value.keys() == {"start", "count"} and all(type(v) is int for v in value.values()):
+        value = list(range(value["start"], value["start"] + value["count"]))
+    return value if type(value) is list and value and all(type(seed) is int for seed in value) else _NO_VALUE
+
+
+#: The JSON type of a config key: its wording in errors and the conversion
+#: to its stored value, ``_NO_VALUE`` for a value that does not have it.
+#: ``bool`` is no integer here, and a number is stored as a float.
+_TYPES = {
+    int: ("an integer", lambda v: v if type(v) is int else _NO_VALUE),
+    float: ("a number", lambda v: float(v) if type(v) in (int, float) else _NO_VALUE),
+    bool: ("true or false", lambda v: v if type(v) is bool else _NO_VALUE),
+    str: ("a string", lambda v: v if type(v) is str else _NO_VALUE),
+    dict: ("an object", lambda v: dict(v) if type(v) is dict else _NO_VALUE),
+    "seeds": ("a nonempty list of integers or {'start': s, 'count': n}", _seed_list),
+    "optimum": ("a number, null or 'auto'",
+                lambda v: v if v in (None, "auto") or type(v) in (int, float) else _NO_VALUE),
+}
+
+#: Every solver key, its type and its default; a preset or a stanza overrides any of them.
+_SOLVER_KEYS = {
+    "model": (str, None),  # born, positive_mps, chain_bayes or crossover
+    "selection": (str, None),  # boltzmann, tournament or greedy
     # training (Born machine and positive MPS), chain-Bayes smoothing
-    "chi": 2, "learning_rate": 0.15, "sweeps": 1, "svd_cutoff": 1e-6, "smoothing": 1.0,
+    "chi": (int, 2), "learning_rate": (float, 0.15), "sweeps": (int, 1), "svd_cutoff": (float, 1e-6),
+    "smoothing": (float, 1.0),
     # Boltzmann schedule (annealed or adaptive) and pool, tournament arity, greedy k
-    "schedule": "annealed", "t0": None, "t_max": None, "rank": 5, "ratio": 3.0, "pool_size": None,
-    "arity": 3, "top_k": 10,
-    # the loop
-    "n_parents": _POPULATION, "n_children": _POPULATION, "n_init": None, "generations": 4 * _T_MAX,
-    "mutation_rate": 0.0, "call_budget": _BUDGET, "elitism": False, "target_objective": None,
-    "diagnostics": None,
+    "schedule": (str, "annealed"), "t0": (float, None), "t_max": (int, None), "rank": (int, 5),
+    "ratio": (float, 3.0), "pool_size": (int, None), "arity": (int, 3), "top_k": (int, 10),
+    # the loop, under EdaConfig's field names
+    "n_parents": (int, _POPULATION), "n_children": (int, _POPULATION), "n_init": (int, None),
+    "generations": (int, 4 * _T_MAX), "mutation_rate": (float, 0.0), "call_budget": (int, _BUDGET),
+    "elitism": (bool, False), "target_objective": (float, None),
+    "diagnostics": (dict, None),
 }
 _TRAIN_KEYS = ("chi", "learning_rate", "sweeps", "svd_cutoff")
-_DIAGNOSTICS_DEFAULTS = {"reference": {}, "mirror_rng": False}
+_DIAGNOSTICS_KEYS = {"reference": (dict, {}), "mirror_rng": (bool, False)}
 
 _BOLTZMANN = {"selection": "boltzmann", "t_max": _T_MAX, "n_init": _POPULATION}
 _TOURNAMENT = {"selection": "tournament", "n_init": _POPULATION}
@@ -103,16 +128,23 @@ SOLVER_PRESETS: dict[str, dict] = {
     "GA2": {"model": "crossover", **_TOURNAMENT, "elitism": True},
 }
 
-_PROBLEM_KEYS = {
-    "onemax": ("n_bits",),
-    "trap": ("n_blocks",),
-    "knapsack": ("path",),
-    "knapsack_random": ("n_bits", "seed"),
-    "maxsat": ("path",),
-    "portfolio": ("path", "mode", "n_min", "n_max", "penalty_c", "ward_ordering"),
-    "portfolio_random": ("n_assets", "seed", "n_min", "n_max", "penalty_c", "ward_ordering"),
+_CARDINALITY = {
+    "n_min": (int, _NO_VALUE), "n_max": (int, _NO_VALUE), "penalty_c": (float, 100.0), "ward_ordering": (bool, True),
 }
-_CONFIG_KEYS = ("problem", "solver", "seeds", "out", "optimum")  # all but the last are required
+#: Each problem kind's keys, beside ``kind``, with their types and defaults.
+_PROBLEM_KEYS = {
+    "onemax": {"n_bits": (int, _NO_VALUE)},
+    "trap": {"n_blocks": (int, _NO_VALUE)},
+    "knapsack": {"path": (str, _NO_VALUE)},
+    "knapsack_random": {"n_bits": (int, _NO_VALUE), "seed": (int, 0)},
+    "maxsat": {"path": (str, _NO_VALUE)},
+    "portfolio": {"path": (str, _NO_VALUE), "mode": (str, "covariance"), **_CARDINALITY},
+    "portfolio_random": {"n_assets": (int, _NO_VALUE), "seed": (int, 0), **_CARDINALITY},
+}
+_CONFIG_KEYS = {
+    "problem": (dict, _NO_VALUE), "solver": (dict, _NO_VALUE), "seeds": ("seeds", _NO_VALUE),
+    "out": (str, _NO_VALUE), "optimum": ("optimum", "auto"),
+}
 
 
 def _known(name, valid, what: str):
@@ -126,16 +158,31 @@ def _known(name, valid, what: str):
     raise ConfigError(f"unknown {what} {name!r} ({hint})")
 
 
-def _check_keys(stanza: dict, valid, what: str) -> None:
+def _typed(stanza: dict, table: dict, what: str, path: str = "") -> dict:
+    """``stanza`` over the defaults of ``table``: the one place a config value is checked and converted.
+
+    ``table`` maps each key to its type in ``_TYPES`` and its default,
+    ``_NO_VALUE`` for a key the stanza must give; a key whose default is
+    null also takes null. An unknown key, a missing one or a value of the
+    wrong type is a ConfigError that names the key as ``path`` + key.
+    """
     for key in stanza:
-        _known(key, valid, f"{what} key")
+        _known(key, table, f"{what} key")
+    typed = {}
+    for key, (kind, default) in table.items():
+        value = stanza.get(key, default)
+        wording, convert = _TYPES[kind]
+        typed[key] = None if value is None and default is None else convert(value)
+        if typed[key] is _NO_VALUE:
+            got = "nothing" if value is _NO_VALUE else repr(value)
+            raise ConfigError(f"{path + key!r} must be {wording}, got {got}")
+    return typed
 
 
-def _object(value, what: str) -> dict:
-    """``value`` if it is a JSON object; else a ConfigError naming ``what``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what!r} must be an object, got {value!r}")
-    return value
+def _problem_spec(spec: dict) -> dict:
+    """A problem stanza with every key of its kind, checked and converted."""
+    kind = _known(spec.get("kind"), _PROBLEM_KEYS, "problem kind")
+    return _typed(spec, {"kind": (str, _NO_VALUE), **_PROBLEM_KEYS[kind]}, f"{kind} problem")
 
 
 @dataclass
@@ -160,66 +207,37 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict, base_dir=None) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        _check_keys(raw, _CONFIG_KEYS, "config")
-        for key in _CONFIG_KEYS[:4]:
-            if key not in raw:
-                raise ConfigError(f"config is missing the {key!r} key")
-        for key in ("problem", "solver"):
-            _object(raw[key], key)
-        seeds = raw["seeds"]
-        try:
-            if isinstance(seeds, dict) and seeds.keys() == {"start", "count"}:
-                seeds = range(int(seeds["start"]), int(seeds["start"]) + int(seeds["count"]))
-            seeds = [int(s) for s in seeds] if isinstance(seeds, (list, tuple, range)) else []
-        except (TypeError, ValueError):
-            seeds = []
-        if not seeds:
-            raise ConfigError(
-                f"'seeds' must be a nonempty list of integers or {{'start': s, 'count': n}}, got {raw['seeds']!r}"
-            )
-        problem = dict(raw["problem"])
+        config = _typed(raw, _CONFIG_KEYS, "config")
+        problem = _problem_spec(config["problem"])
         if base_dir is not None and "path" in problem:
             problem["path"] = str((Path(base_dir) / problem["path"]).resolve())
-        return cls(
-            problem=problem,
-            solver=dict(raw["solver"]),
-            seeds=seeds,
-            out_dir=str(raw["out"]),
-            optimum=raw.get("optimum", "auto"),
-        )
+        return cls(problem, config["solver"], config["seeds"], config["out"], config["optimum"])
 
 
 def build_problem(spec: dict):
     """Problem instance from its config stanza."""
-    kind = _known(spec.get("kind"), _PROBLEM_KEYS, "problem kind")
-    _check_keys(spec, ("kind", *_PROBLEM_KEYS[kind]), f"{kind} problem")
+    p = _problem_spec(spec)
+    kind = p["kind"]
     try:
         if kind == "onemax":
-            return OneMax(int(spec["n_bits"]))
+            return OneMax(p["n_bits"])
         if kind == "trap":
-            return DeceptiveTrap(int(spec["n_blocks"]))
+            return DeceptiveTrap(p["n_blocks"])
         if kind == "knapsack":
-            return parse_knapsack(Path(spec["path"]).read_text())
+            return parse_knapsack(Path(p["path"]).read_text())
         if kind == "knapsack_random":
-            return random_knapsack(int(spec["n_bits"]), spec.get("seed", 0))
+            return random_knapsack(p["n_bits"], p["seed"])
         if kind == "maxsat":
-            return parse_dimacs_cnf(Path(spec["path"]).read_text())
+            return parse_dimacs_cnf(Path(p["path"]).read_text())
         if kind == "portfolio":
-            mode = _known(spec.get("mode", "covariance"), ("covariance", "returns"), "portfolio mode")
-            sigma = load_covariance_csv(Path(spec["path"]).read_text(), mode)
+            mode = _known(p["mode"], ("covariance", "returns"), "portfolio mode")
+            sigma = load_covariance_csv(Path(p["path"]).read_text(), mode)
         else:
-            sigma = random_covariance(int(spec["n_assets"]), spec.get("seed", 0))
-        if spec.get("ward_ordering", True):
+            sigma = random_covariance(p["n_assets"], p["seed"])
+        if p["ward_ordering"]:
             perm = order_assets(sigma)
             sigma = sigma[np.ix_(perm, perm)]
-        return PortfolioProblem(
-            sigma,
-            n_min=int(spec["n_min"]),
-            n_max=int(spec["n_max"]),
-            penalty_c=float(spec.get("penalty_c", 100.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"problem kind {kind!r} is missing field {exc}") from None
+        return PortfolioProblem(sigma, p["n_min"], p["n_max"], p["penalty_c"])
     except FileNotFoundError as exc:
         raise ConfigError(f"problem file not readable: {exc}") from None
 
@@ -252,35 +270,28 @@ class SolverPlan:
     make_reference: callable | None = None
 
 
-def _optional(convert, value):
-    return None if value is None else convert(value)
-
-
 def _train_config(s: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=float(s["learning_rate"]),
-        chi_max=int(s["chi"]),
-        sweeps=int(s["sweeps"]),
-        svd_cutoff=float(s["svd_cutoff"]),
-    )
+    return TrainConfig(s["learning_rate"], s["chi"], s["sweeps"], s["svd_cutoff"])
 
 
 def build_solver(spec: dict) -> SolverPlan:
     """Expand a solver stanza (preset plus overrides, or explicit fields).
 
-    Stanza over preset over ``_SOLVER_DEFAULTS``; an unknown key or kind, or
-    a value a constructor rejects, is a ConfigError.
+    Stanza over preset over the defaults of ``_SOLVER_KEYS``, typed by
+    :func:`_typed` into the canonical solver spec; an unknown key or kind,
+    a value of the wrong type, or a value a constructor rejects, is a
+    ConfigError.
     """
     given = dict(spec)
     preset = given.pop("preset", None)
     if preset is not None:
         given = {**SOLVER_PRESETS[_known(preset, SOLVER_PRESETS, "solver preset")], **given}
-    _check_keys(given, _SOLVER_DEFAULTS, "solver")
+    s = _typed(given, _SOLVER_KEYS, "solver")
     try:
-        return _solver_plan({**_SOLVER_DEFAULTS, **given})
+        return _solver_plan(s)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad solver value: {exc}") from None
 
 
@@ -293,8 +304,7 @@ def _solver_plan(s: dict) -> SolverPlan:
         train = _train_config(s)
         make_model = lambda: PositiveMpsSampler(train)  # noqa: E731
     elif model_kind == "chain_bayes":
-        smoothing = float(s["smoothing"])
-        make_model = lambda: ChainBayesSampler(smoothing)  # noqa: E731
+        make_model = lambda: ChainBayesSampler(s["smoothing"])  # noqa: E731
     else:
         make_model = CrossoverSampler
     make_model()  # a sampler checks its settings when built
@@ -302,39 +312,27 @@ def _solver_plan(s: dict) -> SolverPlan:
     selection_kind = _known(s["selection"], ("boltzmann", "tournament", "greedy"), "selection kind")
     if selection_kind == "boltzmann":
         if _known(s["schedule"], ("annealed", "adaptive"), "schedule") == "annealed":
-            schedule = AnnealedSchedule(t0=_optional(float, s["t0"]), t_max=_optional(int, s["t_max"]))
+            schedule = AnnealedSchedule(t0=s["t0"], t_max=s["t_max"])
         else:
-            schedule = AdaptiveGapSchedule(rank=int(s["rank"]), ratio=float(s["ratio"]))
-        selection = BoltzmannSelection(schedule, _optional(int, s["pool_size"]))
+            schedule = AdaptiveGapSchedule(rank=s["rank"], ratio=s["ratio"])
+        selection = BoltzmannSelection(schedule, s["pool_size"])
     elif selection_kind == "tournament":
-        selection = TournamentSelection(int(s["arity"]))
+        selection = TournamentSelection(s["arity"])
     else:
-        selection = GreedyTopK(int(s["top_k"]))
+        selection = GreedyTopK(s["top_k"])
 
-    cfg = EdaConfig(
-        n_parents=int(s["n_parents"]),
-        n_children=int(s["n_children"]),
-        generations=int(s["generations"]),
-        mutation_rate=float(s["mutation_rate"]),
-        call_budget=int(s["call_budget"]),
-        n_init=_optional(int, s["n_init"]),
-        elitism=bool(s["elitism"]),
-        target_objective=_optional(float, s["target_objective"]),
-    )
+    cfg = EdaConfig(**{field.name: s[field.name] for field in fields(EdaConfig)})
 
     diagnostics = make_reference = None
     if s["diagnostics"] is not None:  # any object turns them on, {} with the defaults
-        _check_keys(_object(s["diagnostics"], "diagnostics"), _DIAGNOSTICS_DEFAULTS, "diagnostics")
-        diagnostics = {**_DIAGNOSTICS_DEFAULTS, **s["diagnostics"]}
-        reference = _object(diagnostics["reference"], "diagnostics.reference")
-        _check_keys(reference, _TRAIN_KEYS, "diagnostics.reference")
-        if not isinstance(diagnostics["mirror_rng"], bool):
-            raise ConfigError(f"'diagnostics.mirror_rng' must be true or false, got {diagnostics['mirror_rng']!r}")
+        diagnostics = _typed(s["diagnostics"], _DIAGNOSTICS_KEYS, "diagnostics", "diagnostics.")
+        reference = {key: (_SOLVER_KEYS[key][0], s[key]) for key in _TRAIN_KEYS}  # the primary's, by default
+        reference = _typed(diagnostics["reference"], reference, "diagnostics.reference", "diagnostics.reference.")
         if model_kind != "born":
             raise ConfigError("KL diagnostics are supported for the Born-machine model")
         if selection_kind != "boltzmann":
             raise ConfigError("KL diagnostics require Boltzmann selection")
-        ref_train = _train_config({**s, **reference})
+        ref_train = _train_config(reference)
         make_reference = lambda: BornMachineSampler(ref_train)  # noqa: E731
     return SolverPlan(make_model, selection, cfg, diagnostics, make_reference)
 
@@ -366,7 +364,7 @@ def _finite_or_none(value):
     return value if math.isfinite(value) else None
 
 
-def record_to_dict(rec, seed: int, optimum: float | None, wall_time: float) -> dict:
+def record_to_dict(rec, seed: int, optimum: float | None) -> dict:
     rel = None if optimum is None else relative_error(rec.best_objective, optimum)
     return {
         "seed": seed,
@@ -382,7 +380,7 @@ def record_to_dict(rec, seed: int, optimum: float | None, wall_time: float) -> d
         "kl_reference": _finite_or_none(rec.kl_reference),
         "kl_reference_infinite": rec.kl_reference is not None and math.isinf(rec.kl_reference),
         "kl_delta": _finite_or_none(rec.kl_delta),
-        "wall_time_s": round(wall_time, 6),
+        "wall_time_s": round(rec.wall_time_s, 6),
     }
 
 
@@ -423,7 +421,7 @@ def run_single(problem, solver_spec: dict, seed: int, optimum: float | None) -> 
         )
     else:
         records = run_eda(problem, model, plan.selection, plan.cfg, rng=seed)
-    return [record_to_dict(rec, seed, optimum, rec.wall_time_s) for rec in records]
+    return [record_to_dict(rec, seed, optimum) for rec in records]
 
 
 def _run_seed_task(args):

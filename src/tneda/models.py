@@ -239,15 +239,16 @@ def born_nll(m: Mps, data) -> float:
 def _sweep_pair_schedule(n_sites: int):
     """Down-and-back pair visits with the SVD-weight direction for each.
 
-    Yields (pair_index, absorb_side, moving) where ``moving`` says which
-    cached environment to advance after the split.
+    Yields (pair_index, absorb_side). The side that keeps the singular
+    values is also the way the sweep moves, so it names the cached
+    environment to advance after the split.
     """
     last = n_sites - 2
     for i in range(last):
-        yield i, "right", "right"
-    yield last, "left", "left"
+        yield i, "right"
+    yield last, "left"
     for i in range(last - 1, -1, -1):
-        yield i, "left", "left"
+        yield i, "left"
 
 
 def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None) -> Mps:
@@ -304,7 +305,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
                 rx[j] = _right_step(tensors[j], is_one[j], rx[j + 1])
             lx = [np.ones((1, n))] + [None] * (width - 1)
 
-            for i, absorb, moving in _sweep_pair_schedule(width):
+            for i, absorb in _sweep_pair_schedule(width):
                 theta = _merge(tensors[i], tensors[i + 1])
                 theta = theta - cfg.learning_rate * pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
                 flat = theta.reshape(-1)
@@ -316,7 +317,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
                 theta /= norm
                 left, right = canonicalize_split(theta, cfg.chi_max, cfg.svd_cutoff, absorb=absorb)
                 tensors[i], tensors[i + 1] = left, right
-                if moving == "right":
+                if absorb == "right":
                     lx[i + 1] = _left_step(lx[i], left, is_one[i])
                 else:
                     rx[i + 1] = _right_step(right, is_one[i + 1], rx[i + 2])
@@ -378,7 +379,7 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             rx[j] = _sum_step(rx[j + 1], tensors[j].transpose(2, 1, 0), is_one[j])
         lx = [np.ones((1, n + 1))] + [None] * (width - 1)
 
-        for i, _, moving in _sweep_pair_schedule(width):
+        for i, absorb in _sweep_pair_schedule(width):
             ti, tj = tensors[i], tensors[i + 1]
             amps = _pair_amplitudes(_merge(ti, tj), lx[i], rx[i + 2], onehots[i])
             if amps[n] <= 0.0:
@@ -396,7 +397,7 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             if not (math.isfinite(tensors[i].max()) and math.isfinite(tensors[i + 1].max())):
                 raise DegenerateModelError(f"pair {i}: site tensor is non-finite after a gradient step")
 
-            if moving == "right":
+            if absorb == "right":
                 lx[i + 1] = _sum_step(lx[i], tensors[i], is_one[i])
             else:
                 rx[i + 1] = _sum_step(rx[i + 2], tensors[i + 1].transpose(2, 1, 0), is_one[i + 1])
@@ -473,7 +474,7 @@ def fit_chain_bayes(data, smoothing: float = 1.0) -> ChainBayes:
 
 def sample_chain_bayes(b: ChainBayes, rng, size: int | None = None) -> np.ndarray:
     """Ancestral sampling along the chain."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     batch = 1 if size is None else int(size)
     if batch < 1:
         raise ValueError("size must be >= 1")

@@ -288,7 +288,7 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
     Raises:
         DegenerateModelError: Z <= 0, or a marginal vanishes while sampling.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     batch = 1 if size is None else int(size)
     if batch < 1:
         raise ValueError("size must be >= 1")

@@ -25,8 +25,9 @@ from tneda.evolve import (
     generations,
 )
 from tneda.experiment import (
-    _DIAGNOSTICS_DEFAULTS,
-    _SOLVER_DEFAULTS,
+    _DIAGNOSTICS_KEYS,
+    _PROBLEM_KEYS,
+    _SOLVER_KEYS,
     SOLVER_PRESETS,
     SUMMARY_FIELDS,
     ConfigError,
@@ -34,6 +35,8 @@ from tneda.experiment import (
     build_problem,
     build_solver,
     read_records,
+    record_to_dict,
+    resolve_optimum,
     run_experiment,
     run_single,
     summarize,
@@ -42,7 +45,8 @@ from tneda.experiment import (
 )
 import tneda.mps as mps_module
 from tneda.models import TrainConfig
-from tneda.problems import random_knapsack
+from tneda.evolve import RunRecord
+from tneda.problems import OneMax, parse_dimacs_cnf, random_knapsack
 
 
 def fast_config(tmp_path, seeds=(0, 1), solver_extra=None, problem=None, optimum="auto"):
@@ -163,7 +167,7 @@ class TestPresets:
 
     def test_empty_diagnostics_stanza_turns_them_on(self):
         plan = build_solver({"preset": "TN1", "diagnostics": {}})
-        assert plan.diagnostics == _DIAGNOSTICS_DEFAULTS
+        assert plan.diagnostics == {"reference": {}, "mirror_rng": False}
         assert plan.make_reference().train_cfg == plan.make_model().train_cfg
         assert build_solver({"preset": "TN1", "diagnostics": None}).diagnostics is None
 
@@ -248,6 +252,30 @@ class TestBuildProblem:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             build_problem({"kind": "maxsat", "path": "/nonexistent.cnf"})
+
+
+class TestResolveOptimum:
+    def test_null_number_and_bad_string(self):
+        problem = OneMax(8)
+        assert resolve_optimum(problem, None) is None
+        assert resolve_optimum(problem, 3) == 3.0 and type(resolve_optimum(problem, 3)) is float
+        with pytest.raises(ConfigError, match="'best'"):
+            resolve_optimum(problem, "best")
+
+    def test_auto_enumerates_a_small_maxsat(self):
+        # x1 and not x1 cannot both hold: the best string leaves one clause unsatisfied
+        problem = parse_dimacs_cnf("p cnf 3 3\n1 0\n-1 0\n2 3 0\n")
+        assert problem.optimum is None
+        assert resolve_optimum(problem, "auto") == 1.0
+
+    def test_auto_on_a_large_maxsat_has_no_optimum(self, tmp_path):
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 25 2\n1 2 3 0\n-25 24 0\n")
+        assert resolve_optimum(build_problem({"kind": "maxsat", "path": str(cnf)}), "auto") is None
+        config = fast_config(tmp_path, seeds=(0,), problem={"kind": "maxsat", "path": str(cnf)})
+        run_experiment(config)
+        records = read_records(tmp_path / "results")
+        assert records and all(record["relative_error"] is None for record in records)
 
 
 class TestRunExperiment:
@@ -500,6 +528,19 @@ class TestCli:
         assert main(["summarize", "--in", str(out_dir), "--out", str(summary)]) == 0
         assert summary.exists()
 
+    def test_out_overrides_the_config(self, tmp_path):
+        config_path = self.write_config(tmp_path, seeds=(0,))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "elsewhere")]) == 0
+        assert (tmp_path / "elsewhere" / "run_00000.jsonl").exists()
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("seeds", ["5..3", "a,b"])
+    def test_malformed_seeds_override_exits_2(self, tmp_path, capsys, seeds):
+        config_path = self.write_config(tmp_path, seeds=(0,))
+        assert main(["run", "--config", str(config_path), "--seeds", seeds]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad --seeds value")
+        assert not (tmp_path / "results").exists()
+
     def test_bad_preset_is_config_error(self, tmp_path):
         config_path = self.write_config(tmp_path, solver_extra={"preset": "XX"})
         assert main(["run", "--config", str(config_path)]) == 2
@@ -610,11 +651,11 @@ class TestStrictConfig:
         ({"chi": 0}, "chi_max must be >= 1"),
         ({"mutation_rate": 2}, "mutation_rate must lie in [0, 1]"),
         ({"preset": "GA2", "arity": 0}, "arity must be >= 1"),
-        ({"chi": "two"}, "invalid literal"),
+        ({"chi": "two"}, "'chi' must be an integer, got 'two'"),
         ({"selection": "tournament", "diagnostics": {"reference": {}}}, "KL diagnostics require Boltzmann selection"),
         ({"t0": -1}, "t0 must be positive"),
         ({"t_max": 0}, "t_max must be >= 1"),
-        ({"t_max": "abc"}, "invalid literal"),
+        ({"t_max": "abc"}, "'t_max' must be an integer, got 'abc'"),
         ({"schedule": "adaptive", "rank": 1}, "rank must be >= 2"),
         ({"schedule": "adaptive", "ratio": 1}, "ratio must be > 1"),
         ({"pool_size": 0}, "pool_size must be >= 1"),
@@ -634,6 +675,35 @@ class TestStrictConfig:
         code, err = self.run_cli(tmp_path, capsys, solver=solver)
         assert code == 2
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("top, key, expected", [
+        # problem stanza
+        ({"problem": {"kind": "knapsack_random", "n_bits": 12, "seed": "abc"}}, "seed", "an integer, got 'abc'"),
+        ({"problem": {"kind": "knapsack_random", "n_bits": 12, "seed": None}}, "seed", "an integer, got None"),
+        ({"problem": {"kind": "knapsack", "path": 5}}, "path", "a string, got 5"),
+        ({"problem": {"kind": "onemax", "n_bits": "x"}}, "n_bits", "an integer, got 'x'"),
+        ({"problem": {"kind": "onemax", "n_bits": 12.7}}, "n_bits", "an integer, got 12.7"),
+        ({"problem": {"kind": "onemax", "n_bits": True}}, "n_bits", "an integer, got True"),
+        ({"problem": {"kind": "onemax"}}, "n_bits", "an integer, got nothing"),
+        ({"problem": {"kind": "portfolio_random", "n_assets": 6, "n_min": 2, "n_max": 4, "penalty_c": "x"}},
+         "penalty_c", "a number, got 'x'"),
+        ({"problem": {"kind": "portfolio_random", "n_assets": 6, "n_min": 2, "n_max": 4, "ward_ordering": "false"}},
+         "ward_ordering", "true or false, got 'false'"),
+        # solver stanza
+        ({"solver": {"preset": "TN1", "elitism": "false"}}, "elitism", "true or false, got 'false'"),
+        ({"solver": {"preset": "TN1", "n_parents": 20.9}}, "n_parents", "an integer, got 20.9"),
+        # top level
+        ({"seeds": [1.5]}, "seeds", "got [1.5]"),
+        ({"seeds": [True]}, "seeds", "got [True]"),
+        ({"optimum": True}, "optimum", "a number, null or 'auto', got True"),
+        ({"out": 5}, "out", "a string, got 5"),
+    ])
+    def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, top, key, expected):
+        monkeypatch.chdir(tmp_path)  # where a config with "out": 5 would write
+        code, err = self.run_cli(tmp_path, capsys, top=top)
+        assert code == 2
+        assert err.startswith(f"config error: '{key}' must be ") and expected in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]  # no results anywhere
 
     @pytest.mark.parametrize("top, field", [
         ({"seeds": {"begin": 0, "count": 2}}, "'seeds'"),
@@ -658,4 +728,41 @@ class TestStrictConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = readme.split("Solver stanzas take", 1)[1].split("\n\n", 1)[0]
         listed = set(re.findall(r"`([a-z_.0-9]+)`", paragraph))
-        assert listed == {"preset", *_SOLVER_DEFAULTS, *(f"diagnostics.{key}" for key in _DIAGNOSTICS_DEFAULTS)}
+        assert listed == {"preset", *_SOLVER_KEYS, *(f"diagnostics.{key}" for key in _DIAGNOSTICS_KEYS)}
+
+    def test_readme_lists_every_problem_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullets = readme.split("Problem stanzas have", 1)[1].split("\n\n", 2)[1].split("\n- ")
+        listed = {}
+        for bullet in bullets:
+            kind, *keys = re.findall(r"`([a-z_.0-9]+)`", bullet)
+            listed[kind] = set(keys)
+        assert listed == {kind: set(keys) for kind, keys in _PROBLEM_KEYS.items()}
+
+
+class TestValidateRecord:
+    """Each rejection of the record schema that bench/checks.py relies on."""
+
+    def valid(self):
+        rec = RunRecord(generation=3, best_objective=-5.0, median_objective=-4.0, calls=120, n_new=30,
+                        temperature=None, wall_time_s=0.25)
+        return record_to_dict(rec, seed=7, optimum=-6.0)
+
+    def test_a_valid_record_passes(self):
+        record = self.valid()
+        validate_record(record)
+        assert record["wall_time_s"] == 0.25 and record["relative_error"] == pytest.approx(1 / 6)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda record: record.pop("best"), "missing fields ['best']"),
+        (lambda record: record.update(seed=7.0), "seed and generation must be integers"),
+        (lambda record: record.update(generation=0), "generation must be >= 1 and counts nonnegative"),
+        (lambda record: record.update(wall_time_s=math.inf), "wall_time_s must be a finite number"),
+        (lambda record: record.update(kl_delta="0.1"), "kl_delta must be a number or null"),
+        (lambda record: record.update(kl_primary_infinite=0), "kl_primary_infinite must be a boolean"),
+    ])
+    def test_rejection(self, change, message):
+        record = self.valid()
+        change(record)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_record(record)
