@@ -72,6 +72,15 @@ def _seed_list(value):
     return value if type(value) is list and value and all(type(seed) is int for seed in value) else _NO_VALUE
 
 
+def _optimum(value):
+    """``value`` if it is null, ``"auto"`` or a finite int or float (never a bool); else ``_NO_VALUE``."""
+    if value is None or (type(value) is str and value == "auto"):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return value
+    return _NO_VALUE
+
+
 #: The JSON type of a config key: its wording in errors and the conversion
 #: to its stored value, ``_NO_VALUE`` for a value that does not have it.
 #: ``bool`` is no integer here, and a number is stored as a float.
@@ -82,8 +91,7 @@ _TYPES = {
     str: ("a string", lambda v: v if type(v) is str else _NO_VALUE),
     dict: ("an object", lambda v: dict(v) if type(v) is dict else _NO_VALUE),
     "seeds": ("a nonempty list of integers or {'start': s, 'count': n}", _seed_list),
-    "optimum": ("a number, null or 'auto'",
-                lambda v: v if v in (None, "auto") or type(v) in (int, float) else _NO_VALUE),
+    "optimum": ("a number, null or 'auto'", _optimum),
 }
 
 #: Every solver key, its type and its default; a preset or a stanza overrides any of them.
@@ -243,13 +251,13 @@ def build_problem(spec: dict):
 
 
 def resolve_optimum(problem, requested) -> float | None:
-    """None, an explicit value, or "auto" (known value, DP, or enumeration)."""
+    """None, an explicit value, or "auto" (known value, DP, or enumeration), under the config's rule."""
+    if _optimum(requested) is _NO_VALUE:
+        raise ConfigError(f"'optimum' must be {_TYPES['optimum'][0]}, got {requested!r}")
     if requested is None:
         return None
-    if isinstance(requested, (int, float)):
-        return float(requested)
     if requested != "auto":
-        raise ConfigError(f"optimum must be a number, null, or 'auto', got {requested!r}")
+        return float(requested)
     if problem.optimum is not None:
         return float(problem.optimum)
     if isinstance(problem, KnapsackProblem):

@@ -104,9 +104,15 @@ def _right_canonicalize(tensors: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-site tensor sum_k a[:, s, k] b[k, t, :], shape (chi_l, 2, 2, chi_r)."""
-    return (a.reshape(-1, a.shape[2]) @ b.reshape(b.shape[0], -1)).reshape(a.shape[0], 2, 2, b.shape[2])
+def _merge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sites a (chi_l, 2, chi_k) and b (chi_k, 2, chi_r) as matrices, and their merged pair.
+
+    Returns ``(A, B, A @ B)`` with A (chi_l*2, chi_k) and B (chi_k, 2*chi_r):
+    the two-site tensor sum_k a[:, s, k] b[k, t, :] as a (chi_l*2, 2*chi_r)
+    matrix, and the site matrices a pair update reuses.
+    """
+    a, b = a.reshape(-1, a.shape[2]), b.reshape(b.shape[0], -1)
+    return a, b, a @ b
 
 
 def pair_onehots(bits: np.ndarray) -> np.ndarray:
@@ -118,7 +124,7 @@ def pair_onehots(bits: np.ndarray) -> np.ndarray:
 
 
 def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """sum_b lx[:, b] (x) weighted[:, b] scattered to the pair's bits, (chi_l, 2, 2, chi_r).
+    """sum_b lx[:, b] (x) weighted[:, b] scattered to the pair's bits, a (chi_l*2, 2*chi_r) matrix.
 
     ``lx`` is (chi_l, n) and ``weighted`` (chi_r, n), one string per column.
     ``onehot`` (4, 1, n) is the pair's entry of :func:`pair_onehots`; string
@@ -126,14 +132,17 @@ def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray
     """
     chi_r, n = weighted.shape
     scattered = np.where(onehot, weighted, 0.0).reshape(4 * chi_r, n)
-    return (lx @ scattered.T).reshape(lx.shape[0], 2, 2, chi_r)
+    return (lx @ scattered.T).reshape(2 * lx.shape[0], 2 * chi_r)
 
 
 def _pair_amplitudes(theta: np.ndarray, lx: np.ndarray, rx: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Sum over the true codes of ``onehot`` (4, 1, n) of lx^T theta rx, one value per column."""
-    chi_l, _, _, chi_r = theta.shape
-    per_code = (theta.reshape(chi_l, 4 * chi_r).T @ lx).reshape(4, chi_r, lx.shape[1])
-    return np.where(onehot[:, 0], (per_code * rx).sum(axis=1), 0.0).sum(axis=0)
+    """Sum over the true codes of ``onehot`` (4, 1, n) of lx^T theta rx, one value per column.
+
+    ``theta`` is the merged pair as a (chi_l, 2, 2, chi_r) tensor or as its (chi_l*2, 2*chi_r) matrix.
+    """
+    per_code = (theta.reshape(lx.shape[0], -1).T @ lx).reshape(4, rx.shape[0], lx.shape[1])
+    per_code *= rx
+    return np.add.reduce(np.where(onehot[:, 0], np.add.reduce(per_code, 1), 0.0), 0)
 
 
 def pair_nll_gradient(
@@ -179,7 +188,7 @@ def pair_nll_gradient(
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    grad_data = _pair_data_gradient(lx, rx * (w / safe), onehot)
+    grad_data = _pair_data_gradient(lx, rx * (w / safe), onehot).reshape(theta.shape)
     return -2.0 * grad_data + grad_z
 
 
@@ -187,7 +196,8 @@ def merge_pair(m: Mps, i: int) -> np.ndarray:
     """Merged tensor of sites (i, i+1), shape (chi_l, 2, 2, chi_r)."""
     if not 0 <= i < m.n_sites - 1:
         raise ValueError(f"pair index {i} out of range")
-    return _merge(m.tensors[i], m.tensors[i + 1])
+    a, b = m.tensors[i], m.tensors[i + 1]
+    return _merge(a, b)[2].reshape(a.shape[0], 2, 2, b.shape[2])
 
 
 def born_pair_environments(
@@ -306,7 +316,8 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
             lx = [np.ones((1, n))] + [None] * (width - 1)
 
             for i, absorb in _sweep_pair_schedule(width):
-                theta = _merge(tensors[i], tensors[i + 1])
+                a, b = tensors[i], tensors[i + 1]
+                theta = _merge(a, b)[2].reshape(a.shape[0], 2, 2, b.shape[2])
                 theta = theta - cfg.learning_rate * pair_nll_gradient(theta, lx[i], rx[i + 2], onehots[i], w=w)
                 flat = theta.reshape(-1)
                 norm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula, without its wrapper
@@ -319,7 +330,7 @@ def train_born_machine(data, cfg: TrainConfig, init: Mps | None = None, rng=None
                 tensors[i], tensors[i + 1] = left, right
                 if absorb == "right":
                     lx[i + 1] = _left_step(lx[i], left, is_one[i])
-                else:
+                elif i:  # the sweep ends at pair 0, and nothing reads rx[1]
                     rx[i + 1] = _right_step(right, is_one[i + 1], rx[i + 2])
 
     return Mps(tuple(tensors), EncodingMode.AMPLITUDE, cfg.chi_max)
@@ -333,11 +344,13 @@ def _sum_step(v: np.ndarray, t: np.ndarray, is_one: np.ndarray) -> np.ndarray:
     it is :func:`_right_step` through ``t``, bit for bit.
     """
     out = _left_step(v, t, is_one)
-    out[:, -1] += t[:, 1, :].T @ v[:, -1]
-    scale = out.max(axis=0)  # environments are nonnegative: a column's largest entry is its scale
-    if not scale.all():
+    z = out[:, -1]
+    z += t[:, 1, :].T @ v[:, -1]
+    scale = np.maximum.reduce(out, 0)  # environments are nonnegative: a column's largest entry is its scale
+    if np.count_nonzero(scale) < scale.size:
         raise DegenerateModelError("a training sample has zero value under the model")
-    return out / scale
+    out /= scale
+    return out
 
 
 def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
@@ -367,7 +380,7 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
         raise ValueError("init size does not match data width")
     if width < 2:
         raise ValueError("two-site training needs at least 2 sites")
-    tensors = [t.copy() for t in init.tensors]
+    tensors = list(init.tensors)  # every update makes new arrays, so the read-only sites are not copied
     is_one = np.append(bits.T == 1, np.zeros((width, 1), dtype=bool), axis=1)[:, None, :]
     onehots = np.append(pair_onehots(bits), np.ones((width - 1, 4, 1, 1), dtype=bool), axis=3)
     column_scale = np.append(np.full(n, float(n)), -1.0)  # rows weigh 1/(n psi), the sum -1/Z
@@ -381,22 +394,28 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
 
         for i, absorb in _sweep_pair_schedule(width):
             ti, tj = tensors[i], tensors[i + 1]
-            amps = _pair_amplitudes(_merge(ti, tj), lx[i], rx[i + 2], onehots[i])
+            a, b, theta = _merge(ti, tj)
+            amps = _pair_amplitudes(theta, lx[i], rx[i + 2], onehots[i])
             if amps[n] <= 0.0:
                 raise DegenerateModelError("normalization vanished during training")
-            safe = np.maximum(amps, _AMP_FLOOR)
-            grad_theta = _pair_data_gradient(lx[i], rx[i + 2] / (safe * column_scale), onehots[i])
+            weights = np.maximum(amps, _AMP_FLOOR)
+            weights *= column_scale
+            grad = _pair_data_gradient(lx[i], rx[i + 2] / weights, onehots[i])
 
-            # chain rule through theta = T_i T_j
-            grad_flat = grad_theta.reshape(2 * ti.shape[0], 2 * tj.shape[2])
-            grad_i = (grad_flat @ tj.reshape(tj.shape[0], -1).T).reshape(ti.shape)
-            grad_j = (ti.reshape(-1, ti.shape[2]).T @ grad_flat).reshape(tj.shape)
-            tensors[i] = np.maximum(ti + lr * grad_i, 0.0)
-            tensors[i + 1] = np.maximum(tj + lr * grad_j, 0.0)
-            # Entries are now nonnegative, +inf or NaN, so a finite largest entry means finite entries.
-            if not (math.isfinite(tensors[i].max()) and math.isfinite(tensors[i + 1].max())):
+            # chain rule through theta = T_i T_j, then the projected step T + lr * grad, clamped at 0
+            grad_i, grad_j = grad @ b.T, a.T @ grad
+            for g, t in ((grad_i, a), (grad_j, b)):
+                g *= lr
+                g += t
+                np.maximum(g, 0.0, out=g)
+            # Entries are now nonnegative, +inf or NaN, so finite largest entries mean finite entries.
+            top_i, top_j = np.maximum.reduce(grad_i, None), np.maximum.reduce(grad_j, None)
+            if not (math.isfinite(top_i) and math.isfinite(top_j)):
                 raise DegenerateModelError(f"pair {i}: site tensor is non-finite after a gradient step")
+            tensors[i], tensors[i + 1] = grad_i.reshape(ti.shape), grad_j.reshape(tj.shape)
 
+            # The last step, rx[1], is never read but its check is: it fails a fit whose
+            # final update zeroes a training row, so it is not skipped.
             if absorb == "right":
                 lx[i + 1] = _sum_step(lx[i], tensors[i], is_one[i])
             else:

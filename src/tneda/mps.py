@@ -16,6 +16,8 @@ carried batch-last: left vectors ``v`` (chi_l, B), one string per column,
 advance as ``T[:, 0, :].T @ v`` or ``T[:, 1, :].T @ v`` (:func:`_left_step`),
 right vectors through the untransposed matrices (:func:`_right_step`), and
 a per-string rescale is an elementwise reduction over chi rows. A step
+makes both bits' products in one batched matmul, whose slices are the same
+(chi_r, chi_l) @ (chi_l, B) products as separate calls, bit for bit. It
 takes its bits as a (1, B) mask "bit is 1", built for all sites once per
 call as ``(bits.T == 1)[:, None, :]``. Born-rule sampling carries one
 amplitude vector per sample, not ``v v^T``: O(chi^2) per sample and site.
@@ -93,7 +95,7 @@ class Mps:
         for i in range(len(tensors) - 1):
             if tensors[i].shape[2] != tensors[i + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
-        if any(max(t.shape[0], t.shape[2]) > self.chi_max for t in tensors):
+        if max(t.shape[2] for t in tensors) > self.chi_max:  # the bonds match, so these are all of them
             raise ValueError("bond dimension exceeds chi_max")
         if self.mode is EncodingMode.DIRECT_POSITIVE and (entries < 0).any():
             raise ValueError("direct-positive mode requires nonnegative entries")
@@ -155,12 +157,14 @@ def _bits_2d(x, n_sites: int) -> tuple[np.ndarray, bool]:
 
 def _left_step(v: np.ndarray, t: np.ndarray, is_one: np.ndarray) -> np.ndarray:
     """Advance left vectors (chi_l, B) through site ``t``; ``is_one`` (1, B) marks bit 1: (chi_r, B)."""
-    return np.where(is_one, t[:, 1, :].T @ v, t[:, 0, :].T @ v)
+    w = t.transpose(1, 2, 0) @ v  # both bits' products in one batched call
+    return np.where(is_one, w[1], w[0])
 
 
 def _right_step(t: np.ndarray, is_one: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Advance right vectors (chi_r, B) through site ``t``; ``is_one`` (1, B) marks bit 1: (chi_l, B)."""
-    return np.where(is_one, t[:, 1, :] @ v, t[:, 0, :] @ v)
+    w = t.transpose(1, 0, 2) @ v
+    return np.where(is_one, w[1], w[0])
 
 
 def _gram_left(env: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -182,29 +186,29 @@ def _summed_chain(mode: EncodingMode):
     the right environment past the site into the marginals (2, B) of its bits.
     """
     if mode is EncodingMode.AMPLITUDE:
-        return _gram_right, np.ones((1, 1)), lambda env, w: ((env @ w) * w).sum(axis=1)
-    return lambda t, env: t.sum(axis=1) @ env, np.ones(1), lambda env, w: env @ w
+        return _gram_right, np.ones((1, 1)), lambda env, w: np.add.reduce((env @ w) * w, 1)
+    return lambda t, env: np.add.reduce(t, 1) @ env, np.ones(1), np.matmul
 
 
-def _right_sum_envs(m: Mps) -> tuple[list[np.ndarray], float]:
-    """Right environments of the summed chain, each scaled to largest entry 1, and log Z.
+def _right_sum_envs(m: Mps) -> tuple[list[np.ndarray], list[np.float64]]:
+    """Right environments of the summed chain, each scaled to largest entry 1, and the scales.
 
     The logs of the scales add up to log Z. Raises :class:`DegenerateModelError` when Z <= 0.
     """
     transfer, env, _ = _summed_chain(m.mode)
     envs = [env]
-    log_z = 0.0
+    scales = []
     for t in reversed(m.tensors):
         env = transfer(t, env)
-        scale = np.abs(env).max()
+        scale = np.maximum.reduce(np.abs(env), None)
         if scale == 0.0:
             raise DegenerateModelError("partition function is zero")
         env /= scale
-        log_z += np.log(scale)
+        scales.append(scale)
         envs.append(env)
     if env.flat[0] <= 0.0:
         raise DegenerateModelError("partition function is not positive")
-    return envs[::-1], log_z
+    return envs[::-1], scales
 
 
 def log_partition_function(m: Mps) -> float:
@@ -212,7 +216,10 @@ def log_partition_function(m: Mps) -> float:
 
     Runs right to left, in the same pass that gives the sampling environments.
     """
-    return _right_sum_envs(m)[1]
+    log_z = 0.0
+    for scale in _right_sum_envs(m)[1]:
+        log_z += np.log(scale)
+    return log_z
 
 
 def partition_function(m: Mps) -> float:
@@ -294,7 +301,9 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
         raise ValueError("size must be >= 1")
     envs, _ = _right_sum_envs(m)
     weight = _summed_chain(m.mode)[2]
-    bits = np.empty((batch, m.n_sites), dtype=np.int8)
+    # one draw in site-major order is the same stream as one draw of B per site
+    u = rng.random((m.n_sites, batch))
+    bits = np.empty((m.n_sites, batch), dtype=np.int8)
     v = np.ones((1, batch))
     for i, t in enumerate(m.tensors):
         # w[s] = T[:, s, :]^T v for both bits in one product; p(s | prefix) ~ weight(env, w)[s]
@@ -302,16 +311,16 @@ def perfect_sample(m: Mps, rng, size: int | None = None) -> np.ndarray:
         weights = weight(envs[i + 1], w)
         np.maximum(weights, 0.0, out=weights)
         total = weights[0] + weights[1]
-        if (total <= 0.0).any():
+        if np.count_nonzero(total <= 0.0):
             raise DegenerateModelError("zero conditional marginal while sampling")
-        drawn = rng.random(batch) < weights[1] / total
-        bits[:, i] = drawn
+        drawn = u[i] < weights[1] / total
+        bits[i] = drawn
         v = np.where(drawn, w[1], w[0])
-        scale = np.abs(v).max(axis=0)
-        if (scale == 0.0).any():
+        scale = np.maximum.reduce(np.abs(v), 0)
+        if np.count_nonzero(scale) < batch:
             raise DegenerateModelError("zero left environment while sampling")
         v /= scale
-    return bits[0] if size is None else bits
+    return bits[:, 0] if size is None else np.ascontiguousarray(bits.T)
 
 
 def _symmetric_fold(chi: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

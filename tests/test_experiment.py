@@ -262,6 +262,21 @@ class TestResolveOptimum:
         with pytest.raises(ConfigError, match="'best'"):
             resolve_optimum(problem, "best")
 
+    @pytest.mark.parametrize("requested", [True, False, math.nan, math.inf, -math.inf, [1.0]])
+    def test_the_config_rule_holds_for_python_callers(self, requested):
+        # the same rule as the config's "optimum": a finite int or float, never a bool
+        with pytest.raises(ConfigError, match=r"^'optimum' must be a number, null or 'auto', got "):
+            resolve_optimum(OneMax(4), requested)
+
+    def test_bad_optimum_stops_run_experiment_before_any_seed(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(tneda.experiment, "run_single", refuse)
+        with pytest.raises(ConfigError, match="'optimum'"):
+            run_experiment(fast_config(tmp_path, optimum=True))
+        assert not (tmp_path / "results").exists()
+
     def test_auto_enumerates_a_small_maxsat(self):
         # x1 and not x1 cannot both hold: the best string leaves one clause unsatisfied
         problem = parse_dimacs_cnf("p cnf 3 3\n1 0\n-1 0\n2 3 0\n")
@@ -696,6 +711,8 @@ class TestStrictConfig:
         ({"seeds": [1.5]}, "seeds", "got [1.5]"),
         ({"seeds": [True]}, "seeds", "got [True]"),
         ({"optimum": True}, "optimum", "a number, null or 'auto', got True"),
+        ({"optimum": math.nan}, "optimum", "a number, null or 'auto', got nan"),  # json.dumps writes NaN
+        ({"optimum": math.inf}, "optimum", "a number, null or 'auto', got inf"),
         ({"out": 5}, "out", "a string, got 5"),
     ])
     def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, top, key, expected):
