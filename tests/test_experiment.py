@@ -711,9 +711,9 @@ class TestStrictConfig:
         ({"seeds": [1.5]}, "seeds", "got [1.5]"),
         ({"seeds": [True]}, "seeds", "got [True]"),
         ({"optimum": True}, "optimum", "a number, null or 'auto', got True"),
+        ({"out": 5}, "out", "a string, got 5"),
         ({"optimum": math.nan}, "optimum", "a number, null or 'auto', got nan"),  # json.dumps writes NaN
         ({"optimum": math.inf}, "optimum", "a number, null or 'auto', got inf"),
-        ({"out": 5}, "out", "a string, got 5"),
     ])
     def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, top, key, expected):
         monkeypatch.chdir(tmp_path)  # where a config with "out": 5 would write
