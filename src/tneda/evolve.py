@@ -76,9 +76,14 @@ class SolutionBank:
     """Deduplicated, insertion-ordered store of evaluated solutions.
 
     The number of entries equals the number of objective-function calls
-    made so far: a string is evaluated at most once per run. Rows are
-    keyed by their int8 bytes, every key of a batch read at once through a
-    void view of the whole (B, N) array.
+    made so far: a string is evaluated at most once per run. Each row is
+    stored as its ``np.packbits`` bytes, ceil(N/8) of them, and those bytes
+    are its key; every key of a batch is read at once through a void view
+    of the packed (B, ceil(N/8)) array. :attr:`strings`, :meth:`rows` and
+    :meth:`best` unpack into new int8 arrays.
+
+    Storage for ``capacity`` rows is allocated at once; a bank that fills
+    it doubles it. :func:`generations` sizes its bank so that none does.
 
     The best entry is the first minimum among non-NaN values, or the first
     entry while every value is NaN.
@@ -89,7 +94,7 @@ class SolutionBank:
             raise ValueError("n_bits must be >= 1")
         self.n_bits = int(n_bits)
         self._index: dict[bytes, int] = {}
-        self._strings = np.empty((capacity, self.n_bits), dtype=np.int8)
+        self._packed = np.empty((capacity, -(-self.n_bits // 8)), dtype=np.uint8)
         self._values = np.empty(capacity, dtype=np.float64)
         self._generations = np.empty(capacity, dtype=np.int64)
         self._n = 0
@@ -99,24 +104,27 @@ class SolutionBank:
         return self._n
 
     def _grow(self, need: int) -> None:
-        cap = max(self._strings.shape[0], 1)
+        cap = max(self._packed.shape[0], 1)
         while cap < need:
             cap *= 2
-        strings = np.empty((cap, self.n_bits), dtype=np.int8)
-        strings[: self._n] = self._strings[: self._n]
+        packed = np.empty((cap, self._packed.shape[1]), dtype=np.uint8)
+        packed[: self._n] = self._packed[: self._n]
         values = np.empty(cap, dtype=np.float64)
         values[: self._n] = self._values[: self._n]
         gens = np.empty(cap, dtype=np.int64)
         gens[: self._n] = self._generations[: self._n]
-        self._strings, self._values, self._generations = strings, values, gens
+        self._packed, self._values, self._generations = packed, values, gens
 
-    def _append(self, keys: list[bytes], rows: np.ndarray, values: np.ndarray, generation: int) -> None:
-        """Bank rows whose keys are distinct and not yet banked, in order."""
+    def _unpack(self, packed: np.ndarray) -> np.ndarray:
+        return np.unpackbits(packed, axis=-1, count=self.n_bits).view(np.int8)
+
+    def _append(self, keys: list[bytes], packed: np.ndarray, values: np.ndarray, generation: int) -> None:
+        """Bank packed rows whose keys are distinct and not yet banked, in order."""
         start, m = self._n, len(keys)
         self._index.update(zip(keys, range(start, start + m)))
-        if start + m > self._strings.shape[0]:
+        if start + m > self._packed.shape[0]:
             self._grow(start + m)
-        self._strings[start : start + m] = rows
+        self._packed[start : start + m] = packed
         self._values[start : start + m] = values
         self._generations[start : start + m] = generation
         self._n = start + m
@@ -126,22 +134,32 @@ class SolutionBank:
         """Bank ``objective`` on the unseen rows, then return every row's value.
 
         The first ``limit`` distinct rows absent from the bank, in row
-        order, go to one ``objective`` call and are banked in that order,
-        stamped with ``generation``. The batch's keys are built once and
-        serve the filter, the append and the lookup.
+        order, go to one ``objective`` call as an int8 array and are banked
+        in that order, stamped with ``generation``. The batch is packed and
+        keyed once; the keys serve the filter, the append and the lookup.
+        A row holding anything but 0s and 1s is a ``ValueError``, raised
+        before anything is banked.
 
         Returns (per-row values with NaN where a row is not banked, number
         of rows evaluated).
         """
-        rows = np.ascontiguousarray(rows, dtype=np.int8)
+        rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.n_bits:
             raise ValueError(f"expected a (B, {self.n_bits}) bit array, got shape {rows.shape}")
-        keys = rows.view(f"V{self.n_bits}").ravel().tolist()
+        if rows.dtype == np.int8:  # 0 and 1 are the only int8s at most 1 as unsigned bytes
+            binary = not rows.size or np.maximum.reduce(rows.view(np.uint8), axis=None) <= 1
+        else:  # checked as given, so 0.5 or 256 is not cast to a bit
+            binary = ((rows == 0) | (rows == 1)).all()
+            rows = rows.astype(np.int8)
+        if not binary:
+            raise ValueError("rows must hold only 0s and 1s")
+        packed = np.packbits(rows, axis=1)
+        keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
         index = self._index
         fresh_keys = [key for key in dict.fromkeys(keys) if key not in index][: max(limit, 0)]
         if fresh_keys:
-            fresh = np.frombuffer(b"".join(fresh_keys), dtype=np.int8).reshape(len(fresh_keys), self.n_bits)
-            fresh_values = np.asarray(objective(fresh), dtype=np.float64).reshape(-1)
+            fresh = np.frombuffer(b"".join(fresh_keys), dtype=np.uint8).reshape(len(fresh_keys), -1)
+            fresh_values = np.asarray(objective(self._unpack(fresh)), dtype=np.float64).reshape(-1)
             if fresh_values.shape[0] != fresh.shape[0]:
                 raise ValueError("need one value per row")
             self._append(fresh_keys, fresh, fresh_values, generation)
@@ -164,8 +182,12 @@ class SolutionBank:
 
     @property
     def strings(self) -> np.ndarray:
-        """(n, N) view in insertion order; treat as read-only."""
-        return self._strings[: self._n]
+        """A new (n, N) int8 array of every banked row, in insertion order."""
+        return self._unpack(self._packed[: self._n])
+
+    def rows(self, positions) -> np.ndarray:
+        """A new (k, N) int8 array of the banked rows at ``positions`` (insertion order)."""
+        return self._unpack(self._packed[: self._n][positions])
 
     @property
     def values(self) -> np.ndarray:
@@ -178,7 +200,7 @@ class SolutionBank:
     def best(self) -> tuple[np.ndarray, float]:
         if self._n == 0:
             raise ValueError("bank is empty")
-        return self._strings[self._best].copy(), float(self._values[self._best])
+        return self._unpack(self._packed[self._best]), float(self._values[self._best])
 
 
 # --- temperatures -------------------------------------------------------------
@@ -298,7 +320,12 @@ class BoltzmannSelection:
 
     def select(self, bank: SolutionBank, population, generation: int, cfg: EdaConfig, rng):
         temperature = self.schedule.temperature(bank, generation, cfg)
-        pool = top_k_pool((bank.strings, bank.values), self.pool_size)
+        k = self.pool_size
+        if k is None or k >= len(bank):  # the whole bank, in bank order, as top_k_pool keeps it
+            pool = bank.strings, bank.values
+        else:  # top_k_pool's rows, unpacking only those k
+            keep = top_k_indices(bank.values, k)
+            pool = bank.rows(keep), bank.values[keep]
         return boltzmann_select(pool, cfg.n_parents, temperature, rng), temperature, pool
 
 
@@ -592,11 +619,12 @@ def generations(problem, model, selection, cfg: EdaConfig, rng):
     n_bits = problem.n_bits
     n_init = cfg.n_init or cfg.n_children
 
-    bank = SolutionBank(n_bits)
+    # no run banks more strings than this, so the bank never grows
+    bank = SolutionBank(n_bits, capacity=min(cfg.call_budget, n_init + cfg.generations * cfg.n_children))
     init_strings = rng.integers(0, 2, size=(n_init, n_bits), dtype=np.int8)
     bank.evaluate_unseen(init_strings, problem.evaluate_batch, cfg.call_budget, generation=0)
 
-    population = (bank.strings.copy(), bank.values.copy())
+    population = (bank.strings, bank.values.copy())
 
     for generation in range(1, cfg.generations + 1):
         if len(bank) >= cfg.call_budget:

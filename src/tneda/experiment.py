@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -72,21 +73,27 @@ def _seed_list(value):
     return value if type(value) is list and value and all(type(seed) is int for seed in value) else _NO_VALUE
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is an int or float within the float range (so no NaN), never a bool.
+
+    The rule of every number in a config.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _optimum(value):
-    """``value`` if it is null, ``"auto"`` or a finite int or float (never a bool); else ``_NO_VALUE``."""
-    if value is None or (type(value) is str and value == "auto"):
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+    """``value`` if it is null, ``"auto"`` or a finite number (see :func:`_finite`); else ``_NO_VALUE``."""
+    if value is None or (type(value) is str and value == "auto") or _finite(value):
         return value
     return _NO_VALUE
 
 
 #: The JSON type of a config key: its wording in errors and the conversion
 #: to its stored value, ``_NO_VALUE`` for a value that does not have it.
-#: ``bool`` is no integer here, and a number is stored as a float.
+#: ``bool`` is no integer here, and a number is finite and stored as a float.
 _TYPES = {
     int: ("an integer", lambda v: v if type(v) is int else _NO_VALUE),
-    float: ("a number", lambda v: float(v) if type(v) in (int, float) else _NO_VALUE),
+    float: ("a number", lambda v: float(v) if _finite(v) else _NO_VALUE),
     bool: ("true or false", lambda v: v if type(v) is bool else _NO_VALUE),
     str: ("a string", lambda v: v if type(v) is str else _NO_VALUE),
     dict: ("an object", lambda v: dict(v) if type(v) is dict else _NO_VALUE),

@@ -62,13 +62,13 @@ class TrainConfig:
     svd_cutoff: float = 1e-6
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN too
             raise ValueError("learning_rate must be >= 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
         if self.chi_max < 1:
             raise ValueError("chi_max must be >= 1")
-        if self.svd_cutoff < 0:
+        if not self.svd_cutoff >= 0:
             raise ValueError("svd_cutoff must be >= 0")
 
 

@@ -365,7 +365,10 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.linalg.svd(a, full_matrices=False)`` of a 2-D float64 array: same bits, no wrapper."""
     if _svd_s is None:
         return np.linalg.svd(a, full_matrices=False)
-    u, s, vh = _svd_s(a, signature="d->ddd")
+    try:
+        u, s, vh = _svd_s(a, signature="d->ddd")
+    except FloatingPointError:  # no convergence, under a caller's np.seterr(invalid="raise")
+        raise np.linalg.LinAlgError("SVD did not converge") from None
     if s[0] != s[0]:  # no convergence: the gufunc filled NaN and warned of an invalid value
         raise np.linalg.LinAlgError("SVD did not converge")
     return u, s, vh

@@ -97,6 +97,13 @@ class TestSolutionBank:
         assert bank.evaluate_unseen([[0, 0], [0, 1], [1, 0]], objective, 10, 0)[1] == 3
         np.testing.assert_array_equal(bank.values, [3.0, 2.0, 1.0])
 
+    def test_strings_and_rows_are_new_arrays(self):
+        bank = SolutionBank(9)
+        bank.evaluate_unseen([[0] * 9, [1] * 9], lambda rows: [1.0, 2.0], 10, 0)
+        strings, rows, (bits, _) = bank.strings, bank.rows([1]), bank.best()
+        strings[:], rows[:], bits[:] = 1 - strings, 0, 1
+        np.testing.assert_array_equal(bank.strings, [[0] * 9, [1] * 9])
+
     def test_nan_does_not_pin_best(self):
         bank = SolutionBank(2)
         objective = table_objective({(0, 0): math.nan, (1, 1): -5.0, (0, 1): math.nan, (1, 0): -2.0})

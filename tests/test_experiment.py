@@ -714,6 +714,13 @@ class TestStrictConfig:
         ({"out": 5}, "out", "a string, got 5"),
         ({"optimum": math.nan}, "optimum", "a number, null or 'auto', got nan"),  # json.dumps writes NaN
         ({"optimum": math.inf}, "optimum", "a number, null or 'auto', got inf"),
+        # a number key takes finite values only (json.dumps writes NaN and Infinity)
+        ({"solver": {"preset": "TN1", "learning_rate": math.nan}}, "learning_rate", "a number, got nan"),
+        ({"solver": {"preset": "TN1", "learning_rate": math.inf}}, "learning_rate", "a number, got inf"),
+        ({"solver": {"preset": "TN1", "svd_cutoff": math.nan}}, "svd_cutoff", "a number, got nan"),
+        ({"solver": {"preset": "TN1", "t0": math.inf}}, "t0", "a number, got inf"),
+        ({"solver": {"preset": "TN1", "target_objective": math.nan}}, "target_objective", "a number, got nan"),
+        ({"solver": {"preset": "TN1", "t0": 10**400}}, "t0", "a number, got 1000"),  # beyond the float range
     ])
     def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, top, key, expected):
         monkeypatch.chdir(tmp_path)  # where a config with "out": 5 would write

@@ -281,6 +281,10 @@ class TestTrainConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1, chi_max=2)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=math.nan, chi_max=2)
+        with pytest.raises(ValueError, match="svd_cutoff"):
+            TrainConfig(learning_rate=0.1, chi_max=2, svd_cutoff=math.nan)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, chi_max=0)
         with pytest.raises(ValueError):

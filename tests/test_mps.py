@@ -363,6 +363,23 @@ class TestCanonicalizeSplit:
         with warns, pytest.raises(np.linalg.LinAlgError):
             canonicalize_split(theta, chi_max=None, cutoff=1e-6)
 
+    def test_nan_entry_raises_linalg_error_when_invalid_raises(self):
+        # np.linalg.svd raises LinAlgError under np.seterr(invalid="raise"), and so does _svd
+        theta = np.random.default_rng(16).normal(size=(3, 2, 2, 3))
+        theta[1, 0, 1, 2] = np.nan
+        with np.errstate(invalid="raise"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            canonicalize_split(theta, chi_max=None, cutoff=1e-6)
+
+    def test_qr_of_nan_matches_np_linalg_when_invalid_raises(self):
+        # np.linalg.qr returns NaN factors for a NaN input rather than raising; _qr does the same
+        a = np.random.default_rng(16).normal(size=(6, 4))
+        a[1, 2] = np.nan
+        with np.errstate(all="raise"):
+            q, r = mps_module._qr(a)
+            want_q, want_r = np.linalg.qr(a)
+        np.testing.assert_array_equal(q, want_q)
+        np.testing.assert_array_equal(r, want_r)
+
     def test_nan_entry_raises_linalg_error_through_np_linalg(self, monkeypatch):
         monkeypatch.setattr(mps_module, "_svd_s", None)
         theta = np.random.default_rng(16).normal(size=(3, 2, 2, 3))
