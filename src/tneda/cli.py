@@ -14,6 +14,7 @@ import sys
 from .experiment import (
     ConfigError,
     ExperimentConfig,
+    checked_seeds,
     read_records,
     run_experiment,
     summarize,
@@ -60,8 +61,8 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_file(args.config)
             if args.seeds:
                 try:
-                    config.seeds = parse_seed_spec(args.seeds)
-                except ValueError as exc:
+                    config.seeds = checked_seeds(parse_seed_spec(args.seeds))
+                except ValueError as exc:  # ConfigError is one too
                     raise ConfigError(f"bad --seeds value: {exc}") from None
             if args.out:
                 config.out_dir = args.out

@@ -67,10 +67,11 @@ _NO_VALUE = object()  # the default of a key a stanza must give, and a value of 
 
 
 def _seed_list(value):
-    """The seeds of a nonempty list of integers or of ``{"start": s, "count": n}``."""
+    """The seeds of a nonempty list of distinct integers >= 0 or of ``{"start": s, "count": n}``."""
     if type(value) is dict and value.keys() == {"start", "count"} and all(type(v) is int for v in value.values()):
         value = list(range(value["start"], value["start"] + value["count"]))
-    return value if type(value) is list and value and all(type(seed) is int for seed in value) else _NO_VALUE
+    valid = type(value) is list and value and all(type(seed) is int and seed >= 0 for seed in value)
+    return value if valid and len(set(value)) == len(value) else _NO_VALUE
 
 
 def _finite(value) -> bool:
@@ -97,7 +98,7 @@ _TYPES = {
     bool: ("true or false", lambda v: v if type(v) is bool else _NO_VALUE),
     str: ("a string", lambda v: v if type(v) is str else _NO_VALUE),
     dict: ("an object", lambda v: dict(v) if type(v) is dict else _NO_VALUE),
-    "seeds": ("a nonempty list of integers or {'start': s, 'count': n}", _seed_list),
+    "seeds": ("a nonempty list of distinct integers >= 0 or {'start': s, 'count': n}", _seed_list),
     "optimum": ("a number, null or 'auto'", _optimum),
 }
 
@@ -192,6 +193,11 @@ def _typed(stanza: dict, table: dict, what: str, path: str = "") -> dict:
             got = "nothing" if value is _NO_VALUE else repr(value)
             raise ConfigError(f"{path + key!r} must be {wording}, got {got}")
     return typed
+
+
+def checked_seeds(value) -> list[int]:
+    """``value`` as a config's seeds, or a ConfigError naming ``'seeds'``."""
+    return _typed({"seeds": value}, {"seeds": _CONFIG_KEYS["seeds"]}, "config")["seeds"]
 
 
 def _problem_spec(spec: dict) -> dict:

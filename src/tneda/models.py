@@ -19,7 +19,8 @@ The Born machine fits the empirical distribution of its training rows
 ``w(x)`` the fraction of rows equal to ``x``. The trainer keeps one row
 per distinct string, weighted by its multiplicity, so every environment
 step runs on distinct rows only, and the fit does not depend on the order
-of the rows.
+of the rows. A pair's amplitudes and data gradient share one copy of the
+left environments scattered by pair code.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def _pair_data_gradient(lx: np.ndarray, weighted: np.ndarray, onehot: np.ndarray
     ``lx`` is (chi_l, n) and ``weighted`` (chi_r, n), one string per column.
     ``onehot`` (4, 1, n) is the pair's entry of :func:`pair_onehots`; string
     b contributes only to the block ``[:, x_i, x_{i+1}, :]`` its bits select.
+    Only the positive trainer uses this and :func:`_pair_amplitudes`: it is frozen bit for
+    bit against ``tests/positive_oracle.py``, and the Born kernel's products sum in another order.
     """
     chi_r, n = weighted.shape
     scattered = np.where(onehot, weighted, 0.0).reshape(4 * chi_r, n)
@@ -145,6 +148,16 @@ def _pair_amplitudes(theta: np.ndarray, lx: np.ndarray, rx: np.ndarray, onehot: 
     return np.add.reduce(np.where(onehot[:, 0], np.add.reduce(per_code, 1), 0.0), 0)
 
 
+def _coded_amplitudes(theta: np.ndarray, lx: np.ndarray, rx: np.ndarray, onehot: np.ndarray):
+    """Born amplitudes of a pair, and ``coded`` (4*chi_l, n): string b's ``lx`` column in the
+    block of its code ``2 x_i + x_{i+1}``, zeros elsewhere, so one product with theta gives every psi.
+    """
+    coded = np.where(onehot, lx, 0.0).reshape(-1, lx.shape[1])
+    y = theta.reshape(lx.shape[0], 4, -1).transpose(2, 1, 0).reshape(rx.shape[0], -1) @ coded
+    y *= rx
+    return np.add.reduce(y, 0), coded
+
+
 def pair_nll_gradient(
     theta: np.ndarray,
     lx: np.ndarray,
@@ -159,7 +172,8 @@ def pair_nll_gradient(
     The NLL is over the empirical distribution of the rows,
     ``-2 sum_b w[b] log|psi(x_b)| + log Z``. Rows with weights summing to
     1 give the same gradient as the rows repeated in proportion to their
-    weights, in any order.
+    weights, in any order; the data term is one product of the weighted
+    right environments with the coded left ones of :func:`_coded_amplitudes`.
 
     Args:
         theta: merged two-site tensor (chi_l, 2, 2, chi_r).
@@ -172,10 +186,10 @@ def pair_nll_gradient(
             identity (mixed-canonical gauge), in which case Z = ||theta||^2.
         w: per-row weights summing to 1; ``None`` means uniform ``1/n``.
     """
-    n = lx.shape[1]
+    chi_l, n = lx.shape
     if w is None:
         w = np.full(n, 1.0 / n)
-    amps = _pair_amplitudes(theta, lx, rx, onehot)
+    amps, coded = _coded_amplitudes(theta, lx, rx, onehot)
     safe = np.where(np.abs(amps) < _AMP_FLOOR, _AMP_FLOOR, amps)
 
     if la is None:
@@ -188,7 +202,7 @@ def pair_nll_gradient(
         raise DegenerateModelError("normalization vanished during training")
     grad_z = (2.0 / z) * half
 
-    grad_data = _pair_data_gradient(lx, rx * (w / safe), onehot).reshape(theta.shape)
+    grad_data = (coded @ (rx * (w / safe)).T).reshape(4, chi_l, -1).transpose(1, 0, 2).reshape(theta.shape)
     return -2.0 * grad_data + grad_z
 
 
@@ -235,7 +249,7 @@ def born_pair_gradient(m: Mps, i: int, data) -> tuple[float, np.ndarray]:
     theta = merge_pair(m, i)
     onehot = pair_onehots(bits[:, i : i + 2])[0]
     grad = pair_nll_gradient(theta, lx, rx, onehot, la, rb)
-    amps = np.abs(_pair_amplitudes(theta, lx, rx, onehot))
+    amps = np.abs(_coded_amplitudes(theta, lx, rx, onehot)[0])
     z = float(np.vdot(np.tensordot(la, theta, axes=(1, 0)) @ rb.T, theta))
     return -2.0 * float(np.mean(np.log(np.maximum(amps, _AMP_FLOOR)))) + math.log(z), grad
 

@@ -549,10 +549,10 @@ class TestCli:
         assert (tmp_path / "elsewhere" / "run_00000.jsonl").exists()
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("seeds", ["5..3", "a,b"])
+    @pytest.mark.parametrize("seeds", ["5..3", "a,b", "-1..1", "1,-2", "3,3"])
     def test_malformed_seeds_override_exits_2(self, tmp_path, capsys, seeds):
         config_path = self.write_config(tmp_path, seeds=(0,))
-        assert main(["run", "--config", str(config_path), "--seeds", seeds]) == 2
+        assert main(["run", "--config", str(config_path), f"--seeds={seeds}"]) == 2
         assert capsys.readouterr().err.startswith("config error: bad --seeds value")
         assert not (tmp_path / "results").exists()
 
@@ -721,6 +721,10 @@ class TestStrictConfig:
         ({"solver": {"preset": "TN1", "t0": math.inf}}, "t0", "a number, got inf"),
         ({"solver": {"preset": "TN1", "target_objective": math.nan}}, "target_objective", "a number, got nan"),
         ({"solver": {"preset": "TN1", "t0": 10**400}}, "t0", "a number, got 1000"),  # beyond the float range
+        # seeds are distinct and nonnegative, checked before any seed runs
+        ({"seeds": [1, -2]}, "seeds", "distinct integers >= 0 or {'start': s, 'count': n}, got [1, -2]"),
+        ({"seeds": [3, 3]}, "seeds", "got [3, 3]"),
+        ({"seeds": {"start": -1, "count": 2}}, "seeds", "got {'start': -1, 'count': 2}"),
     ])
     def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch, top, key, expected):
         monkeypatch.chdir(tmp_path)  # where a config with "out": 5 would write

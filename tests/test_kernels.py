@@ -74,6 +74,54 @@ def repeated_index(n, seed):
     return rng.permutation(np.repeat(np.arange(n), rng.integers(1, 7, size=n)))
 
 
+def conditioned_pair(chi_l, chi_r, n, seed):
+    """theta (chi_l, 2, 2, chi_r), n rows of lx and rx, and their bits, with every |psi| >= 0.1.
+
+    Normal draws alone now and then give |psi| near 1e-6, and the gradient's
+    1/psi then turns rounding into differences near 1e-11 relative in any
+    order of summation, so rows below 0.1 are drawn again.
+    """
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=(chi_l, 2, 2, chi_r))
+    lx, rx, xi, xj = np.empty((0, chi_l)), np.empty((0, chi_r)), np.empty(0, int), np.empty(0, int)
+    while len(xi) < n:
+        lx_new, rx_new = rng.normal(size=(n, chi_l)), rng.normal(size=(n, chi_r))
+        xi_new, xj_new = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        keep = np.abs(np.einsum("bl,lbr,br->b", lx_new, theta[:, xi_new, xj_new, :], rx_new)) >= 0.1
+        lx, rx = np.concatenate([lx, lx_new[keep]]), np.concatenate([rx, rx_new[keep]])
+        xi, xj = np.concatenate([xi, xi_new[keep]]), np.concatenate([xj, xj_new[keep]])
+    return theta, lx[:n], rx[:n], xi[:n], xj[:n]
+
+
+def random_gram(chi, seed):
+    """A positive-definite (chi, chi) matrix, as a bond Gram matrix of the rest of a chain is."""
+    a = np.random.default_rng(seed).normal(size=(chi, chi))
+    return a @ a.T + chi * np.eye(chi)
+
+
+def pair_shapes(chi):
+    """(chi_l, chi_r, n) of the pair-gradient cases at bond chi: unequal bonds
+    both ways, bond 1 at either end of the pair, and 1 to 700 rows."""
+    return [(chi, chi + 1, 50), (chi + 1, chi, 1), (1, chi, 700), (chi, 1, 300), (chi + 1, chi + 2, 700)]
+
+
+def assert_sweep_matches_oracle(n, n_sites, chi):
+    """One Born sweep on n rows sampled from the fit's own random start agrees with the oracle's.
+
+    Rows drawn from the model have no amplitude near zero. On uniform random
+    rows of this size some |psi| are, and both sweeps then turn rounding
+    into large differences, whatever the kernel.
+    """
+    start = random_init(n_sites, chi, EncodingMode.AMPLITUDE, seed=chi)  # train_born_machine's start at rng=chi
+    bits = perfect_sample(start, np.random.default_rng(chi), size=n)
+    cfg = TrainConfig(learning_rate=0.002, chi_max=chi)
+    m = train_born_machine(bits, cfg, rng=chi)
+    ref = oracle.train_born_machine(bits, cfg, rng=chi)
+    assert m.bond_dims == ref.bond_dims
+    for t, r in zip(m.tensors, ref.tensors):
+        assert_rel_close(t, r)
+
+
 def symmetric_fold(chi):
     """Q (chi^2, k) adding rows (a, b) and (b, a) into pair a <= b, and the pairs' flat indices."""
     pairs = [(a, b) for a in range(chi) for b in range(a, chi)]
@@ -252,6 +300,10 @@ class TestTraining:
         xi, xj = rng.integers(0, 2, 50), rng.integers(0, 2, 50)
         grad = pair_nll_gradient(theta, lx.T, rx.T, pair_onehots(np.stack([xi, xj], axis=1))[0])
         assert_rel_close(grad, oracle.pair_nll_gradient(theta, lx, rx, xi, xj)[1])
+        for k, (chi_l, chi_r, n) in enumerate(pair_shapes(chi)):
+            theta, lx, rx, xi, xj = conditioned_pair(chi_l, chi_r, n, seed=10 * chi + k)
+            grad = pair_nll_gradient(theta, lx.T, rx.T, pair_onehots(np.stack([xi, xj], axis=1))[0])
+            assert_rel_close(grad, oracle.pair_nll_gradient(theta, lx, rx, xi, xj)[1])
         # the NLL at pair 0 of a right-canonical model against the oracle's Z = ||theta||^2
         m = random_init(8, chi, EncodingMode.AMPLITUDE, seed=chi)
         m = Mps(tuple(_right_canonicalize(list(m.tensors))), m.mode, m.chi_max)
@@ -275,6 +327,11 @@ class TestTraining:
         assert_rel_close(nll, ref_nll)
         assert_rel_close(grad, ref_grad)
         np.testing.assert_array_equal(pair_grad, grad)
+        for k, (chi_l, chi_r, n) in enumerate(pair_shapes(chi)):
+            theta, lx, rx, xi, xj = conditioned_pair(chi_l, chi_r, n, seed=20 * chi + k)
+            la, rb = random_gram(chi_l, seed=k), random_gram(chi_r, seed=k + 1)
+            grad = pair_nll_gradient(theta, lx.T, rx.T, pair_onehots(np.stack([xi, xj], axis=1))[0], la, rb)
+            assert_rel_close(grad, oracle.pair_nll_gradient(theta, lx, rx, xi, xj, la, rb)[1])
 
     @pytest.mark.parametrize("chi", CHIS)
     def test_born_sweep(self, chi):
@@ -291,6 +348,8 @@ class TestTraining:
         assert m.bond_dims == ref.bond_dims
         for t, r in zip(m.tensors, ref.tensors):
             assert_rel_close(t, r)
+        # 700 rows on 16 sites, drawn from the fit's own start so that no |psi| is near zero
+        assert_sweep_matches_oracle(700, 16, chi)
 
     @pytest.mark.parametrize("chi", CHIS)
     def test_weighted_pair_nll_gradient(self, chi):
@@ -302,6 +361,17 @@ class TestTraining:
         onehot = pair_onehots(np.stack([xi, xj], axis=1))[0]
         grad = pair_nll_gradient(theta, lx.T, rx.T, onehot, w=np.bincount(b) / len(b))
         assert_rel_close(grad, oracle.pair_nll_gradient(theta, lx[b], rx[b], xi[b], xj[b])[1])
+        # distinct rows weighted by their copies, in canonical gauge and with Gram matrices
+        for k, (chi_l, chi_r, n) in enumerate(pair_shapes(chi)):
+            theta, lx, rx, xi, xj = conditioned_pair(chi_l, chi_r, n, seed=30 * chi + k)
+            rows = repeated_index(n, seed=k)
+            w = np.bincount(rows) / len(rows)
+            onehot = pair_onehots(np.stack([xi, xj], axis=1))[0]
+            la, rb = random_gram(chi_l, seed=k), random_gram(chi_r, seed=k + 1)
+            for grams in ((), (la, rb)):
+                grad = pair_nll_gradient(theta, lx.T, rx.T, onehot, *grams, w=w)
+                ref = oracle.pair_nll_gradient(theta, lx[rows], rx[rows], xi[rows], xj[rows], *grams)[1]
+                assert_rel_close(grad, ref)
         # the NLL over the same repeated rows, read at a pair of a model
         m = random_init(8, chi, EncodingMode.AMPLITUDE, seed=30 + chi)
         bits = random_bits(40, 8, seed=30 + chi)[b]
@@ -318,6 +388,8 @@ class TestTraining:
         assert m.bond_dims == ref.bond_dims
         for t, r in zip(m.tensors, ref.tensors):
             assert_rel_close(t, r)
+        # 700 draws on 8 sites repeat many strings
+        assert_sweep_matches_oracle(700, 8, chi)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
