@@ -23,6 +23,7 @@ import numpy as np
 
 from .models import (
     TrainConfig,
+    _as_data,
     fit_chain_bayes,
     sample_chain_bayes,
     train_born_machine,
@@ -421,13 +422,26 @@ def _pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mutate(x, p_flip: float, rng) -> np.ndarray:
-    """Flip each bit independently with probability p_flip."""
+    """Flip each bit independently with probability p_flip; the result is a new int8 array.
+
+    Every call consumes one uniform double per bit. At rate 0 nothing can
+    flip, so a ``PCG64`` generator skips those draws with
+    ``advance(x.size)`` (one double is one 64-bit draw) and keeps its
+    buffered 32-bit half, which ``advance`` would clear: the generator
+    ends in the state the draws would have left. Other bit generators draw.
+    """
     if not 0.0 <= p_flip <= 1.0:
         raise ValueError("p_flip must lie in [0, 1]")
     rng = np.random.default_rng(rng)
     bits = np.asarray(x, dtype=np.int8)
-    flips = (rng.random(bits.shape) < p_flip).astype(np.int8)
-    return np.bitwise_xor(bits, flips)
+    bit_gen = rng.bit_generator
+    if p_flip == 0 and type(bit_gen) is np.random.PCG64:
+        state = bit_gen.state
+        bit_gen.advance(bits.size)
+        bit_gen.state = {**bit_gen.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+        return bits.copy()
+    flips = rng.random(bits.shape) < p_flip
+    return np.bitwise_xor(bits, flips.view(np.int8))
 
 
 # --- generative-model adapters -------------------------------------------------
@@ -485,7 +499,10 @@ class ChainBayesSampler:
 class CrossoverSampler:
     """GA recombination in the model slot: shuffle parents, cross pairs.
 
-    Crossover rate 1: every drawn pair is crossed.
+    Crossover rate 1: every drawn pair is crossed at two cut points, and
+    the two children swap the segment between them. A pair swaps by XOR,
+    ``d = (a ^ b) & segment`` giving children ``a ^ d`` and ``b ^ d``,
+    which is exact on the 0/1 rows ``fit`` accepts.
     """
 
     def __init__(self):
@@ -493,27 +510,31 @@ class CrossoverSampler:
         self.model = None  # no generative model; kept for interface parity
 
     def fit(self, parents: np.ndarray, rng) -> None:
-        self._parents = np.asarray(parents, dtype=np.int8)
+        """Keep ``parents``, a nonempty (n, N) array of exact 0s and 1s, else ``ValueError``."""
+        self._parents = _as_data(parents)
 
     def sample(self, n: int, rng) -> np.ndarray:
         parents = self._parents
         if parents.shape[0] == 1:
             return np.tile(parents[0], (n, 1))
         width = parents.shape[1]
+        span = np.arange(width)
         children = []
         produced = 0
         while produced < n:
             order = rng.permutation(parents.shape[0])
             order = order[: 2 * (order.size // 2)]
-            pa = parents[order[0::2]]
+            pa = parents[order[0::2]]  # fancy indexing copies, so both cross in place
             pb = parents[order[1::2]]
             cuts = np.sort(rng.integers(0, width + 1, size=(pa.shape[0], 2)), axis=1)
-            span = np.arange(width)
             swap = (span >= cuts[:, :1]) & (span < cuts[:, 1:])
-            children.append(np.where(swap, pb, pa))
-            children.append(np.where(swap, pa, pb))
+            diff = pa ^ pb
+            diff &= swap.view(np.int8)
+            pa ^= diff
+            pb ^= diff
+            children += (pa, pb)
             produced += 2 * pa.shape[0]
-        return np.concatenate(children, axis=0)[:n].astype(np.int8)
+        return np.concatenate(children, axis=0)[:n]
 
 
 # --- the loop -------------------------------------------------------------------

@@ -91,9 +91,10 @@ def _optimum(value):
 
 #: The JSON type of a config key: its wording in errors and the conversion
 #: to its stored value, ``_NO_VALUE`` for a value that does not have it.
-#: ``bool`` is no integer here, and a number is finite and stored as a float.
+#: ``bool`` is no integer here, an integer fits in int64 (numpy takes no
+#: larger size or count), and a number is finite and stored as a float.
 _TYPES = {
-    int: ("an integer", lambda v: v if type(v) is int else _NO_VALUE),
+    int: ("an integer", lambda v: v if type(v) is int and -(2**63) <= v < 2**63 else _NO_VALUE),
     float: ("a number", lambda v: float(v) if _finite(v) else _NO_VALUE),
     bool: ("true or false", lambda v: v if type(v) is bool else _NO_VALUE),
     str: ("a string", lambda v: v if type(v) is str else _NO_VALUE),

@@ -490,9 +490,11 @@ def fit_chain_bayes(data, smoothing: float = 1.0) -> ChainBayes:
     p_first /= n + 2.0 * smoothing
 
     cond = np.empty((width - 1, 2, 2))
-    on = bits == 1  # bool: reductions over it beat those over the int8 rows
-    ones = np.count_nonzero(on, axis=0).astype(np.float64)
-    n_11 = np.count_nonzero(on[:, :-1] & on[:, 1:], axis=0).astype(np.float64)  # x_i = x_{i+1} = 1
+    # column sums of the 0/1 bytes, in the narrowest type n cannot overflow
+    on = bits.view(np.uint8)
+    acc = np.uint16 if n < 2**16 else np.int64
+    ones = np.add.reduce(on, axis=0, dtype=acc).astype(np.float64)
+    n_11 = np.add.reduce(on[:, :-1] & on[:, 1:], axis=0, dtype=acc).astype(np.float64)  # x_i = x_{i+1} = 1
     ones_prev, ones_next = ones[:-1], ones[1:]
     # (count of x_i = b, count of x_i = b and x_{i+1} = 1), for b = 0 and 1; exact integers
     counts = ((n - ones_prev, ones_next - n_11), (ones_prev, n_11))

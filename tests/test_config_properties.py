@@ -3,10 +3,11 @@
 Hypothesis picks a key of ``_CONFIG_KEYS``, of ``_PROBLEM_KEYS[kind]``, of
 ``_SOLVER_KEYS`` or of ``_DIAGNOSTICS_KEYS`` and spoils it in a valid
 stanza: a value of the wrong JSON type, NaN or +-Infinity for a number, a
-bool for an integer, a negative or repeated seed, or a near-miss key name.
+bool or a value beyond int64 for an integer, a negative or repeated seed,
+or a near-miss key name.
 Values are drawn for each key's type in the table, so a key added to a
-table is covered without a new case. The checks run no solver; one CLI
-test also checks that a spoiled config writes no file.
+table is covered without a new case. The checks run no solver; two CLI
+tests also check that a spoiled config writes no file.
 """
 
 import contextlib
@@ -36,7 +37,8 @@ from tneda.experiment import (
 #: Values that are not of each config type. ``None`` is wrong only for a
 #: key whose default is not null.
 WRONG = {
-    int: ["x", 1.5, 2.0, True, False, [1], {}, math.nan, math.inf, None],  # a bool or a float is no integer
+    # a bool or a float is no integer, nor is one beyond int64
+    int: ["x", 1.5, 2.0, True, False, [1], {}, math.nan, math.inf, None, 10**30, -(2**63) - 1],
     float: ["x", True, [0.5], {}, math.nan, math.inf, -math.inf, 10**400, None],
     bool: [0, 1, "true", [True], {}, None],
     str: [5, 0.5, True, ["x"], {}, None],
@@ -130,3 +132,16 @@ def test_spoiled_config_exits_2_and_writes_nothing(data):
         assert code == 2
         assert err.getvalue().startswith("config error: ") and name in err.getvalue()
         assert list(Path(tmp).iterdir()) == [path]
+
+
+@pytest.mark.parametrize("solver", [{"chi": 10**30}, {"generations": 2**63}])
+def test_integer_beyond_int64_exits_2_and_creates_no_directory(tmp_path, capsys, solver):
+    key, value = next(iter(solver.items()))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "onemax", "n_bits": 4}, "solver": {**SMALL_SOLVER, **solver},
+        "seeds": [0], "out": str(tmp_path / "results"),
+    }))
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"'{key}' must be an integer, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]

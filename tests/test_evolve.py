@@ -443,6 +443,12 @@ class TestCrossover:
         # every segment [i, j) with i < j is drawn
         assert segments >= {(i, j) for i in range(n) for j in range(i + 1, n + 1)}
 
+    @pytest.mark.parametrize("parents", [np.empty((0, 6)), np.empty(6), [[0, 1, 2]], [[0.5, 1.0]]])
+    def test_fit_rejects_what_is_no_parent_set(self, parents):
+        # an empty set would make sample loop forever, pairing no parents
+        with pytest.raises(ValueError):
+            CrossoverSampler().fit(parents, None)
+
     def test_sampler_preserves_column_multisets(self):
         rng = np.random.default_rng(11)
         parents = rng.integers(0, 2, size=(10, 7), dtype=np.int8)
