@@ -462,11 +462,18 @@ class BornMachineSampler:
 
 
 class PositiveMpsSampler:
-    """Direct-positive MPS updated incrementally from generation to generation."""
+    """Direct-positive MPS updated incrementally from generation to generation.
+
+    ``_held`` is run state, like ``model``: the last successful fit's model,
+    rows and right environments, handed back to the next fit, which reuses
+    the environments when it starts from that model on equal rows (see
+    :func:`~tneda.models.train_positive_mps`).
+    """
 
     def __init__(self, train_cfg: TrainConfig):
         self.train_cfg = train_cfg
         self.model = None
+        self._held = [None, None, None]
 
     def fit(self, parents: np.ndarray, rng) -> None:
         if self.model is None:
@@ -474,7 +481,7 @@ class PositiveMpsSampler:
             self.model = random_init(
                 width, self.train_cfg.chi_max, EncodingMode.DIRECT_POSITIVE, rng
             )
-        self.model = train_positive_mps(parents, self.train_cfg, init=self.model)
+        self.model = train_positive_mps(parents, self.train_cfg, init=self.model, held=self._held)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return perfect_sample(self.model, rng, size=n)

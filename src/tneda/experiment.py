@@ -192,6 +192,8 @@ def _typed(stanza: dict, table: dict, what: str, path: str = "") -> dict:
         typed[key] = None if value is None and default is None else convert(value)
         if typed[key] is _NO_VALUE:
             got = "nothing" if value is _NO_VALUE else repr(value)
+            if kind is int and type(value) is int:  # the right type, out of int64
+                wording = "an integer from -2**63 to 2**63 - 1"
             raise ConfigError(f"{path + key!r} must be {wording}, got {got}")
     return typed
 

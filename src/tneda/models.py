@@ -77,12 +77,18 @@ def _as_data(data) -> np.ndarray:
     """C-contiguous int8 rows of a nonempty (n, N) array of exact 0s and 1s.
 
     Values are checked as given, before any cast, so 0.5 or 256 is rejected
-    rather than truncated or wrapped; int8 rows come back uncopied.
+    rather than truncated or wrapped; int8 rows come back uncopied. Read as
+    unsigned bytes, int8 rows are binary when their largest byte is at most 1
+    (-1 reads as 255): the bank's check, a few times faster than comparing.
     """
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, N) bit array")
-    if not ((data == 0) | (data == 1)).all():
+    if data.dtype == np.int8:
+        binary = not data.size or np.maximum.reduce(data.view(np.uint8), axis=None) <= 1
+    else:
+        binary = ((data == 0) | (data == 1)).all()
+    if not binary:
         raise ValueError("training data must be binary")
     return np.ascontiguousarray(data, dtype=np.int8)
 
@@ -367,7 +373,7 @@ def _sum_step(v: np.ndarray, t: np.ndarray, is_one: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
+def train_positive_mps(data, cfg: TrainConfig, init: Mps, *, held: list | None = None) -> Mps:
     """Incrementally update a direct-positive MPS by log-likelihood ascent.
 
     Each sweep visits neighboring pairs down and back and updates the two
@@ -382,6 +388,19 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
     also adds its bit-1 product; its pair amplitude is Z. The gradient's -Z
     term is column n of the data product, weighted -1/Z at all four codes.
 
+    The sites live in one fresh flat buffer, so the two sites of a pair are
+    adjacent and are stepped, clamped and checked as one array.
+
+    A sweep's back pass leaves the right environments of the tensors it
+    returns, the very values the next sweep's opening pass would compute;
+    a second sweep reuses them. ``held``, the caller's run state, carries
+    them to the next fit: a list ``[model, rows, rx]`` that a successful
+    fit overwrites with the model it returns, a copy of its checked int8
+    rows and those environments. The next fit reuses them only when
+    ``init`` is that very model and its rows are equal to those, in the
+    same order; otherwise (or with ``held=None``) it recomputes them. Either
+    way the result is the same, bit for bit.
+
     Raises:
         DegenerateModelError: Z or a row's value vanished, or a step left a
             site tensor non-finite; the latter names the pair.
@@ -394,16 +413,25 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
         raise ValueError("init size does not match data width")
     if width < 2:
         raise ValueError("two-site training needs at least 2 sites")
-    tensors = list(init.tensors)  # every update makes new arrays, so the read-only sites are not copied
+    # sites are views into one fresh buffer; site i spans buf[bounds[i]:bounds[i + 1]]
+    buf = np.concatenate([t.ravel() for t in init.tensors])
+    bounds = [0]
+    for t in init.tensors:
+        bounds.append(bounds[-1] + t.size)
+    tensors = [buf[lo:hi].reshape(t.shape) for lo, hi, t in zip(bounds, bounds[1:], init.tensors)]
+    scratch = np.empty(max(hi - lo for lo, hi in zip(bounds, bounds[2:])))
     is_one = np.append(bits.T == 1, np.zeros((width, 1), dtype=bool), axis=1)[:, None, :]
     onehots = np.append(pair_onehots(bits), np.ones((width - 1, 4, 1, 1), dtype=bool), axis=3)
     column_scale = np.append(np.full(n, float(n)), -1.0)  # rows weigh 1/(n psi), the sum -1/Z
     lr = cfg.learning_rate
+    # a copy, so a failed fit leaves the held list as it was
+    rx = list(held[2]) if held is not None and held[0] is init and np.array_equal(held[1], bits) else None
 
     for _ in range(cfg.sweeps):
-        rx = [None] * width + [np.ones((1, n + 1))]
-        for j in range(width - 1, 1, -1):
-            rx[j] = _sum_step(rx[j + 1], tensors[j].transpose(2, 1, 0), is_one[j])
+        if rx is None:  # right environments over sites j.. for the current tensors
+            rx = [None] * width + [np.ones((1, n + 1))]
+            for j in range(width - 1, 1, -1):
+                rx[j] = _sum_step(rx[j + 1], tensors[j].transpose(2, 1, 0), is_one[j])
         lx = [np.ones((1, n + 1))] + [None] * (width - 1)
 
         for i, absorb in _sweep_pair_schedule(width):
@@ -416,26 +444,31 @@ def train_positive_mps(data, cfg: TrainConfig, init: Mps) -> Mps:
             weights *= column_scale
             grad = _pair_data_gradient(lx[i], rx[i + 2] / weights, onehots[i])
 
-            # chain rule through theta = T_i T_j, then the projected step T + lr * grad, clamped at 0
-            grad_i, grad_j = grad @ b.T, a.T @ grad
-            for g, t in ((grad_i, a), (grad_j, b)):
-                g *= lr
-                g += t
-                np.maximum(g, 0.0, out=g)
-            # Entries are now nonnegative, +inf or NaN, so finite largest entries mean finite entries.
-            top_i, top_j = np.maximum.reduce(grad_i, None), np.maximum.reduce(grad_j, None)
-            if not (math.isfinite(top_i) and math.isfinite(top_j)):
+            # chain rule through theta = T_i T_j, then the projected step T + lr * grad, clamped at 0,
+            # on both sites at once: their entries are adjacent in buf and in the scratch array
+            lo, mid, hi = bounds[i], bounds[i + 1], bounds[i + 2]
+            step = scratch[: hi - lo]
+            np.matmul(grad, b.T, out=step[: mid - lo].reshape(a.shape))
+            np.matmul(a.T, grad, out=step[mid - lo :].reshape(b.shape))
+            step *= lr
+            step += buf[lo:hi]
+            np.maximum(step, 0.0, out=step)
+            # Entries are now nonnegative, +inf or NaN, so a finite largest entry means finite entries.
+            if not math.isfinite(np.maximum.reduce(step, None)):
                 raise DegenerateModelError(f"pair {i}: site tensor is non-finite after a gradient step")
-            tensors[i], tensors[i + 1] = grad_i.reshape(ti.shape), grad_j.reshape(tj.shape)
+            buf[lo:hi] = step  # ti and tj are views into buf: they now hold the stepped sites
 
             # The last step, rx[1], is never read but its check is: it fails a fit whose
             # final update zeroes a training row, so it is not skipped.
             if absorb == "right":
-                lx[i + 1] = _sum_step(lx[i], tensors[i], is_one[i])
+                lx[i + 1] = _sum_step(lx[i], ti, is_one[i])
             else:
-                rx[i + 1] = _sum_step(rx[i + 2], tensors[i + 1].transpose(2, 1, 0), is_one[i + 1])
+                rx[i + 1] = _sum_step(rx[i + 2], tj.transpose(2, 1, 0), is_one[i + 1])
 
-    return Mps(tuple(tensors), EncodingMode.DIRECT_POSITIVE, init.chi_max)
+    out = Mps(tuple(tensors), EncodingMode.DIRECT_POSITIVE, init.chi_max)
+    if held is not None:
+        held[:] = out, bits.copy(), rx
+    return out
 
 
 # --- chain Bayesian network --------------------------------------------------

@@ -143,5 +143,5 @@ def test_integer_beyond_int64_exits_2_and_creates_no_directory(tmp_path, capsys,
         "seeds": [0], "out": str(tmp_path / "results"),
     }))
     assert main(["run", "--config", str(path)]) == 2
-    assert f"'{key}' must be an integer, got {value}" in capsys.readouterr().err
+    assert f"'{key}' must be an integer from -2**63 to 2**63 - 1, got {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]

@@ -152,7 +152,7 @@ class TestPresets:
             plan = build_solver({"preset": name})
             model = plan.make_model()
             assert (plan.cfg, plan.selection, type(model)) == (cfg, selection, model_type), name
-            assert {k: v for k, v in vars(model).items() if k not in ("model", "_parents")} == settings, name
+            assert {k: v for k, v in vars(model).items() if k not in ("model", "_parents", "_held")} == settings, name
             assert plan.diagnostics is None and plan.make_reference is None
 
     def test_explicit_positive_mps_builds(self):

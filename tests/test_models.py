@@ -11,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
+import positive_oracle
 from tneda.diagnostics import kl_details
 from tneda.models import (
     ChainBayes,
     FiniteDistribution,
     TrainConfig,
+    _as_data,
     born_nll,
     born_pair_gradient,
     chain_bayes_log_probability,
@@ -93,6 +95,33 @@ def test_training_data_must_be_exact_bits(entry, bad):
     fit(np.array([[0, 1, 1], [1, 0, 0]]))  # the same rows with exact bits are accepted
     with pytest.raises(ValueError, match="binary"):
         fit(np.array([[0, 1, 1], [1, 0, bad]]))
+
+
+@pytest.mark.parametrize("entry", sorted(TRAINING_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [-1, 2, 127, -128])
+def test_int8_training_data_must_be_exact_bits(entry, bad):
+    """int8 rows are checked by their largest unsigned byte: -1 and -128 read as 255 and 128."""
+    rows = np.array([[0, 1, 1, 0], [1, 0, bad, 1]], dtype=np.int8)
+    with pytest.raises(ValueError, match="binary"):
+        TRAINING_ENTRY_POINTS[entry](rows[:, :3])
+    with pytest.raises(ValueError, match="binary"):
+        TRAINING_ENTRY_POINTS[entry](rows[:, ::-1][:, 1:])  # a strided view
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((3, 0), dtype=np.int8), np.zeros((3, 0)), np.zeros((0, 3), dtype=np.int8),
+    np.array([[0, 1], [1, 1]], dtype=np.int8), np.array([[0, 1], [1, -1]], dtype=np.int8),
+])
+def test_as_data_agrees_with_the_comparing_check(rows):
+    """The same outcome as ``((data == 0) | (data == 1)).all()``, zero-width rows included."""
+    def outcome(check):
+        try:
+            out = check(rows)
+        except ValueError as err:
+            return str(err)
+        return out.dtype, out.shape, out.tobytes()
+
+    assert outcome(_as_data) == outcome(positive_oracle._as_data)
 
 
 class TestTrainBornMachine:
