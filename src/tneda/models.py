@@ -493,14 +493,15 @@ class ChainBayes:
             raise ValueError("p_first must have shape (2,)")
         if cond.ndim != 3 or cond.shape[1:] != (2, 2):
             raise ValueError("conditionals must have shape (N-1, 2, 2)")
-        if self.smoothing < 0:
+        # every check is written so that NaN fails it
+        if not self.smoothing >= 0:
             raise ValueError("smoothing must be >= 0")
         for arr, what in ((p_first, "p_first"), (cond, "conditionals")):
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+            if not ((arr >= -1e-12) & (arr <= 1 + 1e-12)).all():
                 raise ValueError(f"{what} entries must lie in [0, 1]")
-        if abs(p_first.sum() - 1.0) > 1e-9:
+        if not abs(p_first.sum() - 1.0) <= 1e-9:
             raise ValueError("p_first must sum to 1")
-        if cond.size and np.abs(cond.sum(axis=1) - 1.0).max() > 1e-9:
+        if cond.size and not np.abs(cond.sum(axis=1) - 1.0).max() <= 1e-9:
             raise ValueError("conditional table columns must sum to 1")
         object.__setattr__(self, "p_first", p_first)
         object.__setattr__(self, "conditionals", cond)
@@ -548,11 +549,19 @@ def sample_chain_bayes(b: ChainBayes, rng, size: int | None = None) -> np.ndarra
         raise ValueError("size must be >= 1")
     # one draw in site-major order is the same stream as one draw per site
     u = rng.random((b.n_sites, batch))
-    bits_t = np.empty((b.n_sites, batch), dtype=np.int8)
-    np.less(u[0], b.p_first[1], out=bits_t[0])
-    for i, p1_given in enumerate(b.conditionals[:, 1, :]):
-        np.less(u[i + 1], p1_given[bits_t[i]], out=bits_t[i + 1])
-    bits = np.ascontiguousarray(bits_t.T)
+    p1 = np.vstack((b.p_first[[1, 1]], b.conditionals[:, 1, :]))  # p(x_i = 1 | x_{i-1} = 0, 1)
+    # 8 strings per byte: site i's bit if the previous bit is 0, and where a previous 1 flips it
+    bits_t = np.packbits(u < p1[:, :1], axis=1)
+    flip = bits_t ^ np.packbits(u < p1[:, 1:], axis=1)
+    # x_i = bits_t_i ^ (flip_i & x_{i-1}). Compose these maps by doubling: after the pass
+    # of stride s, entry i maps x_{i-2s} to x_i. Site 0 has flip 0, so once a map
+    # reaches back to it, it is constant: the drawn bits.
+    s = 1
+    while s < b.n_sites:
+        bits_t[s:] ^= flip[s:] & bits_t[:-s]
+        flip[s:] &= flip[:-s]
+        s *= 2
+    bits = np.ascontiguousarray(np.unpackbits(bits_t, axis=1, count=batch).T).view(np.int8)
     return bits[0] if size is None else bits
 
 
@@ -586,9 +595,9 @@ class FiniteDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if strings.ndim != 2 or probs.ndim != 1 or strings.shape[0] != probs.shape[0]:
             raise ValueError("need (M, N) strings with M probabilities")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9:
+        if not (probs >= 0).all():  # NaN fails this
+            raise ValueError("probs must be nonnegative numbers")
+        if not abs(probs.sum() - 1.0) <= 1e-9:
             raise ValueError("target distribution is not normalized")
         object.__setattr__(self, "strings", strings)
         object.__setattr__(self, "probs", probs)

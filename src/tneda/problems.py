@@ -151,12 +151,13 @@ class MaxSatProblem(Problem):
 
     Clauses are padded to equal width w by repeating a literal, which
     leaves clause truth unchanged, and stored literal-major: slot k of all
-    m clauses is one row of a (w, m) variable table and of a (w, m, 1)
-    int8 table of the values those literals want. ``evaluate_batch`` takes
-    whole rows of the transposed batch per slot, so its gathers and
-    compares run over contiguous memory, and counts each string's
-    unsatisfied clauses as a column sum of bytes. ``is_three_sat`` reports
-    whether every clause had exactly three literals.
+    m clauses is one row of a (w, m) table holding ``var + N * wants``.
+    ``evaluate_batch`` packs, 8 strings per byte, where each variable is 0
+    (rows 0..N-1) and where it is 1 (rows N..2N-1); a literal is true
+    exactly where its row of that table is set, so a slot is one row
+    gather and a clause is an OR over its slots. Each string's unsatisfied
+    clauses are then a column sum of the unpacked bytes. ``is_three_sat``
+    reports whether every clause had exactly three literals.
     """
 
     def __init__(self, n_vars: int, clauses):
@@ -172,12 +173,11 @@ class MaxSatProblem(Problem):
                 if lit == 0 or abs(lit) > n_vars:
                     raise ValueError(f"literal {lit} out of range for {n_vars} variables")
         width = max(len(c) for c in clause_list)
-        padded = np.array([c + (c[0],) * (width - len(c)) for c in clause_list], dtype=np.int64)
+        padded = np.array([c + (c[0],) * (width - len(c)) for c in clause_list], dtype=np.int64).T
         self.n_bits = n_vars
         self.clauses = clause_list
         self.is_three_sat = all(len(c) == 3 for c in clause_list)
-        self._vars = np.ascontiguousarray(np.abs(padded).T - 1)  # (w, m)
-        self._wants = (padded.T > 0).astype(np.int8)[:, :, None]  # (w, m, 1)
+        self._rows = np.ascontiguousarray(np.abs(padded) - 1 + n_vars * (padded > 0))  # (w, m)
 
     @property
     def n_clauses(self) -> int:
@@ -185,21 +185,13 @@ class MaxSatProblem(Problem):
 
     def evaluate_batch(self, x):
         xt = np.ascontiguousarray(self._check(x).T)  # (N, B), one variable per row
-        if xt.dtype != np.int8:
-            # 0 and 1 keep their value; anything else becomes 2, which no literal wants
-            xt = np.where(xt == 1, np.int8(1), np.where(xt == 0, np.int8(0), np.int8(2)))
-        rows = np.empty((self._vars.shape[1], xt.shape[1]), dtype=np.int8)  # (m, B)
-        lit_false = rows.view(np.bool_)
-        # mode="clip": the indices are valid, and take buffers ``out`` under mode="raise"
-        np.take(xt, self._vars[0], axis=0, out=rows, mode="clip")
-        unsat = rows != self._wants[0]  # every literal so far is false
-        for vars_k, wants_k in zip(self._vars[1:], self._wants[1:]):
-            np.take(xt, vars_k, axis=0, out=rows, mode="clip")
-            np.not_equal(rows, wants_k, out=lit_false)
-            unsat &= lit_false
+        # a value other than 0 or 1 sets neither row, so no literal wants it
+        table = np.packbits(np.concatenate((xt == 0, xt == 1)), axis=1)  # (2N, ceil(B/8))
+        sat = np.bitwise_or.reduce(table[self._rows], axis=0)  # (m, ceil(B/8))
+        unsat = np.unpackbits(~sat, axis=1, count=xt.shape[1])  # (m, B) bytes of 0 or 1
         # summing the mask's bytes beats count_nonzero over axis 0; m caps the total
         acc = np.uint16 if unsat.shape[0] < 2**16 else np.int64
-        return np.add.reduce(unsat.view(np.uint8), axis=0, dtype=acc).astype(np.float64)
+        return np.add.reduce(unsat, axis=0, dtype=acc).astype(np.float64)
 
 
 # --- instance text formats ------------------------------------------------------

@@ -1,12 +1,16 @@
 """Reference forms of the non-tensor-network operators (test use only).
 
 ``maxsat_per_clause`` counts unsatisfied clauses one clause at a time, and
-``maxsat_count_nonzero`` is the literal-major kernel as it was with
-``np.count_nonzero`` as its column count. ``fit_chain_bayes_count_nonzero``,
+``maxsat_count_nonzero`` is the literal-major int8 kernel as it was with
+``np.count_nonzero`` as its column count, building its variable and wanted
+value tables from ``problem.clauses``. ``fit_chain_bayes_count_nonzero``,
 ``crossover_where`` and ``mutate_drawing`` are the chain-Bayes fit,
 two-point crossover and mutation as they were before the narrow-integer
-counts, the XOR swap and the draw-free rate-0 path. The library must
-reproduce them bit for bit, generator state included.
+counts, the XOR swap and the draw-free rate-0 path, and
+``sample_chain_bayes_gather`` is the chain sampler as it was before the
+bit-packed draw: one int8 byte per bit, each site comparing against the
+conditional its previous bit gathers. The library must reproduce them bit
+for bit, generator state included.
 """
 
 from __future__ import annotations
@@ -29,14 +33,18 @@ def maxsat_per_clause(problem, x) -> np.ndarray:
 
 
 def maxsat_count_nonzero(problem, x) -> np.ndarray:
+    width = max(len(c) for c in problem.clauses)
+    padded = np.array([c + (c[0],) * (width - len(c)) for c in problem.clauses], dtype=np.int64)
+    variables = np.ascontiguousarray(np.abs(padded).T - 1)  # (w, m)
+    wants = (padded.T > 0).astype(np.int8)[:, :, None]  # (w, m, 1)
     xt = np.ascontiguousarray(np.asarray(x).T)
     if xt.dtype != np.int8:
         xt = np.where(xt == 1, np.int8(1), np.where(xt == 0, np.int8(0), np.int8(2)))
-    rows = np.empty((problem._vars.shape[1], xt.shape[1]), dtype=np.int8)
+    rows = np.empty((variables.shape[1], xt.shape[1]), dtype=np.int8)
     lit_false = rows.view(np.bool_)
-    np.take(xt, problem._vars[0], axis=0, out=rows, mode="clip")
-    unsat = rows != problem._wants[0]
-    for vars_k, wants_k in zip(problem._vars[1:], problem._wants[1:]):
+    np.take(xt, variables[0], axis=0, out=rows, mode="clip")
+    unsat = rows != wants[0]
+    for vars_k, wants_k in zip(variables[1:], wants[1:]):
         np.take(xt, vars_k, axis=0, out=rows, mode="clip")
         np.not_equal(rows, wants_k, out=lit_false)
         unsat &= lit_false
@@ -63,6 +71,22 @@ def fit_chain_bayes_count_nonzero(data, smoothing: float = 1.0) -> ChainBayes:
         cond[:, 1, b] = p1
         cond[:, 0, b] = 1.0 - p1
     return ChainBayes(p_first, cond, smoothing)
+
+
+def sample_chain_bayes_gather(b: ChainBayes, rng, size: int | None = None) -> np.ndarray:
+    """Ancestral sampling along the chain."""
+    rng = np.random.default_rng(rng)
+    batch = 1 if size is None else int(size)
+    if batch < 1:
+        raise ValueError("size must be >= 1")
+    # one draw in site-major order is the same stream as one draw per site
+    u = rng.random((b.n_sites, batch))
+    bits_t = np.empty((b.n_sites, batch), dtype=np.int8)
+    np.less(u[0], b.p_first[1], out=bits_t[0])
+    for i, p1_given in enumerate(b.conditionals[:, 1, :]):
+        np.less(u[i + 1], p1_given[bits_t[i]], out=bits_t[i + 1])
+    bits = np.ascontiguousarray(bits_t.T)
+    return bits[0] if size is None else bits
 
 
 def crossover_where(parents, n: int, rng) -> np.ndarray:

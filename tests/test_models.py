@@ -231,6 +231,20 @@ class TestChainBayes:
         with pytest.raises(ValueError):
             fit_chain_bayes(np.empty((0, 4)))
 
+    @pytest.mark.parametrize(
+        "p_first, conditionals, smoothing, field",
+        [
+            ([math.nan, math.nan], np.full((2, 2, 2), 0.5), 0.0, "p_first"),
+            ([math.nan, 1.0], np.full((2, 2, 2), 0.5), 0.0, "p_first"),
+            ([0.5, 0.5], np.full((2, 2, 2), math.nan), 0.0, "conditionals"),
+            ([0.5, 0.5], np.array([[[0.5, math.nan], [0.5, math.nan]]]), 0.0, "conditionals"),
+            ([0.5, 0.5], np.full((2, 2, 2), 0.5), math.nan, "smoothing"),
+        ],
+    )
+    def test_rejects_nan_by_field(self, p_first, conditionals, smoothing, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ChainBayes(p_first, conditionals, smoothing)
+
     def test_uniform_model_probability(self):
         b = ChainBayes([0.5, 0.5], np.full((5, 2, 2), 0.5), 0.0)
         for bits in (np.zeros(6, dtype=int), np.ones(6, dtype=int)):
@@ -295,6 +309,11 @@ class TestModelKl:
     def test_rejects_unnormalized_target(self):
         with pytest.raises(ValueError):
             FiniteDistribution(np.array([[0], [1]]), np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]])
+    def test_rejects_nan_probs(self, probs):
+        with pytest.raises(ValueError, match="^probs "):
+            FiniteDistribution(np.array([[0], [1]]), np.array(probs))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nonnegative(self, seed):

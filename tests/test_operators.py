@@ -1,7 +1,8 @@
 """The GA and chain-Bayes operators against their reference forms, bit for bit.
 
 ``operator_oracle`` keeps a per-clause MaxSAT count and the earlier forms
-of the chain-Bayes counts, two-point crossover and mutation. Each case
+of the MaxSAT kernel, the chain-Bayes counts and draw, two-point crossover
+and mutation. Each case
 compares the bytes of the outputs and, where a generator is used, its
 state afterwards, so a later draw of the run cannot tell the two apart.
 """
@@ -11,7 +12,7 @@ import pytest
 
 import operator_oracle as oracle
 from tneda.evolve import CrossoverSampler, mutate
-from tneda.models import fit_chain_bayes
+from tneda.models import ChainBayes, fit_chain_bayes, sample_chain_bayes
 from tneda.problems import MaxSatProblem
 
 
@@ -44,6 +45,30 @@ class TestMaxSatCount:
         assert_same_bits(problem.evaluate_batch(x), expected)
         assert_same_bits(oracle.maxsat_count_nonzero(problem, x), expected)
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 8, 9, 1000])
+    @pytest.mark.parametrize(
+        "dtype, values",
+        [
+            (np.int8, [0, 1]),
+            (np.int8, [-1, 0, 1, 2]),
+            (np.uint8, [0, 1, 2]),
+            (np.int64, [-1, 0, 1, 2]),
+            (np.float64, [0.0, 0.5, 1.0]),
+            (np.float64, [-1.0, 0.0, 1.0, 2.0]),
+            (np.bool_, [False, True]),
+        ],
+    )
+    def test_batches_across_byte_boundaries_match_both_references(self, n_rows, dtype, values):
+        # strings are packed 8 per byte: batches of 0, 1, 7, 8, 9 and 1000
+        # rows fill no byte, part of one, exactly one and a ragged last byte
+        for seed in range(3):
+            problem = random_cnf(11, 25 + 20 * seed, 5, 50 + seed)
+            rng = np.random.default_rng(60 + seed)
+            x = rng.choice(np.array(values, dtype=dtype), size=(n_rows, 11))
+            expected = oracle.maxsat_per_clause(problem, x)
+            assert_same_bits(problem.evaluate_batch(x), expected)
+            assert_same_bits(oracle.maxsat_count_nonzero(problem, x), expected)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint8, np.int16])
     def test_values_other_than_0_and_1_satisfy_no_literal(self, dtype):
         problem = random_cnf(9, 120, 3, 7)
@@ -60,19 +85,21 @@ class TestMaxSatCount:
         # leaves every clause unsatisfied, beyond what a uint8 total holds
         clauses = [[1 + i % 4] if i % 2 else [1 + i % 4, 1 + (i + 1) % 4] for i in range(600)]
         problem = MaxSatProblem(4, clauses)
-        x = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [2, 0, 0, 0]], dtype=np.int8)
+        x = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], [2, 0, 0, 0]] * 2, dtype=np.int8)
         values = problem.evaluate_batch(x)
-        assert values[0] == 600.0
+        assert values[0] == values[5] == 600.0
         assert_same_bits(values, oracle.maxsat_per_clause(problem, x))
+        assert_same_bits(values, oracle.maxsat_count_nonzero(problem, x))
 
     def test_more_than_65535_unsatisfied_clauses(self):
         # beyond a uint16 total, where the count takes the wide accumulator
         clauses = [[-1, 2], [3]] * 33_000
         problem = MaxSatProblem(3, clauses)
-        x = np.array([[1, 0, 0], [0, 0, 0], [1, 1, 1], [1, 0, 1]], dtype=np.int8)
+        x = np.array([[1, 0, 0], [0, 0, 0], [1, 1, 1], [1, 0, 1]] * 3, dtype=np.int8)
         values = problem.evaluate_batch(x)
-        assert values[0] == 66_000.0
+        assert values[0] == values[8] == 66_000.0
         assert_same_bits(values, oracle.maxsat_per_clause(problem, x))
+        assert_same_bits(values, oracle.maxsat_count_nonzero(problem, x))
 
 
 class TestChainBayesCounts:
@@ -98,6 +125,55 @@ class TestChainBayesCounts:
         assert_same_bits(got.p_first, want.p_first)
         assert_same_bits(got.conditionals, want.conditionals)
         assert got.conditionals[1, 1, 1] == (n + 1.0) / (n + 2.0)
+
+
+def random_chain(n_sites, seed):
+    """A fitted chain (even seeds) or one with random tables (odd seeds),
+    about a third of whose entries are exactly 0 or 1, so that a site's
+    comparison never or always holds."""
+    rng = np.random.default_rng(seed)
+    if seed % 2 == 0:
+        rows = int(rng.integers(1, 40))
+        bits = (rng.random((rows, n_sites)) < rng.random(n_sites)).astype(np.int8)
+        return fit_chain_bayes(bits, [0.0, 0.5, 1.0][seed % 3])
+    shape = (2 * n_sites - 1,)  # p(x_1 = 1), then p(x_{i+1} = 1 | x_i = 0) and (... | x_i = 1)
+    p1 = np.where(rng.random(shape) < 0.3, rng.integers(0, 2, shape), rng.random(shape))
+    cond = np.empty((n_sites - 1, 2, 2))
+    cond[:, 1, :] = p1[1:].reshape(n_sites - 1, 2)
+    cond[:, 0, :] = 1.0 - cond[:, 1, :]
+    return ChainBayes([1.0 - p1[0], p1[0]], cond, 0.0)
+
+
+class TestChainBayesDraw:
+    @pytest.mark.parametrize("size", [None, 1, 7, 8, 9, 1000])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 8, 9, 16, 17, 33, 64, 65, 70])
+    def test_matches_gather_form_and_stream(self, n_sites, size):
+        for seed in range(4):
+            b = random_chain(n_sites, 10 * n_sites + seed)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                got = sample_chain_bayes(b, rng, size)
+                assert_same_bits(got, oracle.sample_chain_bayes_gather(b, ref_rng, size))
+                assert got.flags.c_contiguous
+                assert_same_state(rng, ref_rng)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_lengths_and_generators(self, seed):
+        rng = np.random.default_rng(seed)
+        n_sites, size = int(rng.integers(1, 71)), int(rng.integers(1, 300))
+        b = random_chain(n_sites, 1000 + seed)
+        kind = [np.random.PCG64, np.random.MT19937, np.random.Philox][seed % 3]
+        gen, ref_gen = np.random.Generator(kind(seed)), np.random.Generator(kind(seed))
+        assert_same_bits(sample_chain_bayes(b, gen, size), oracle.sample_chain_bayes_gather(b, ref_gen, size))
+        assert_same_state(gen, ref_gen)
+        assert gen.random() == ref_gen.random()
+
+    def test_seed_argument_and_size_errors(self):
+        b = random_chain(5, 2)
+        assert_same_bits(sample_chain_bayes(b, 17, 12), oracle.sample_chain_bayes_gather(b, 17, 12))
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="size must be >= 1"):
+                sample_chain_bayes(b, 1, size)
 
 
 class TestCrossoverBits:
